@@ -43,9 +43,6 @@ struct BalancerConfig {
   /// Seed of the hash family mapping keys to the unit interval. All
   /// replicas of one cluster must agree on it.
   std::uint64_t hash_seed = 0x616e755f68617368ULL;
-  /// Probe-round budget for route(); the default never exhausts in
-  /// practice (each round hits an occupied region with probability 1/2).
-  std::uint32_t max_probe_rounds = 64;
 };
 
 /// Result of one tuning round.
@@ -92,7 +89,9 @@ class Balancer {
   /// (bounded growth), a down server's region is reclaimed.
   RetuneResult retune();
 
-  /// Routes a key on the current map: the server that owns it.
+  /// Routes a key on the current map: the server that owns it. Probing is
+  /// bounded at 64 re-hash rounds (each hits an occupied region with
+  /// probability 1/2); exhausting them aborts, as it means a corrupt map.
   [[nodiscard]] std::uint32_t route(std::string_view key) const;
 
   /// Current map version (0 until the first retune()).

@@ -4,8 +4,10 @@
 #   scripts/check.sh              # everything, in order (what CI mirrors)
 #   scripts/check.sh tsan         # just the ThreadSanitizer pass
 #   scripts/check.sh format lint  # any subset, in the order given
+#   PARITY_BASE=main scripts/check.sh parity  # behaviour parity vs a ref
 #
-# Tiers: format docs lint build test integration tidy asan tsan bench
+# Tiers: format docs lint build test integration tidy asan tsan bench,
+# plus the opt-in parity tier (two Release builds; not part of "all")
 # (.github/workflows/ci.yml mirrors these stages — docs/ci.md; the
 # static-analysis tiers are specified in docs/static-analysis.md; the
 # integration tier boots the live anu_serve demo — docs/runtime.md.)
@@ -152,6 +154,14 @@ tier_bench() {
   done
 }
 
+tier_parity() {
+  # Refactor gate: the batch, matrix and chaos artifacts of the working
+  # tree must match those of $PARITY_BASE (default HEAD, i.e. the
+  # uncommitted changes) byte for byte (scripts/parity_vs_parent.sh).
+  echo "=== behaviour parity vs ${PARITY_BASE:-HEAD} ==="
+  ./scripts/parity_vs_parent.sh "${PARITY_BASE:-HEAD}"
+}
+
 ALL_TIERS=(format docs lint build test integration tidy asan tsan bench)
 TIERS=("$@")
 if [ ${#TIERS[@]} -eq 0 ]; then
@@ -160,14 +170,14 @@ fi
 
 for tier in "${TIERS[@]}"; do
   case "$tier" in
-    format|docs|lint|build|test|integration|tidy|asan|tsan|bench)
+    format|docs|lint|build|test|integration|tidy|asan|tsan|bench|parity)
       "tier_$tier"
       ;;
     all)
       for t in "${ALL_TIERS[@]}"; do "tier_$t"; done
       ;;
     *)
-      echo "unknown tier: $tier (known: ${ALL_TIERS[*]} all)" >&2
+      echo "unknown tier: $tier (known: ${ALL_TIERS[*]} parity all)" >&2
       exit 2
       ;;
   esac

@@ -103,8 +103,9 @@ class Clock {
 };
 
 /// Periodic callback on any Clock: fires at interval, 2*interval, ...
-/// Clock-agnostic twin of sim::PeriodicMonitor (same first-tick-at-interval
-/// and re-arm-before-tick semantics, so a tick that stops the timer wins).
+/// The first tick is at `interval`, and the timer re-arms before each tick,
+/// so a tick that stops the timer wins. The simulator's tuning loop runs
+/// on this over a sim::SimClock.
 class PeriodicTimer {
  public:
   using Tick = std::function<void(SimTime)>;

@@ -54,6 +54,7 @@ ThreadPool::StatsSnapshot ThreadPool::stats() const {
   s.tasks_executed = tasks_executed_.load(std::memory_order_relaxed);
   s.steals = steals_.load(std::memory_order_relaxed);
   s.parks = parks_.load(std::memory_order_relaxed);
+  s.abandoned = abandoned_.load(std::memory_order_acquire);
   return s;
 }
 
@@ -158,6 +159,7 @@ struct ThreadPool::BatchState {
   };
 
   const std::function<void(std::size_t)>* fn = nullptr;
+  std::atomic<std::uint64_t>* abandoned = nullptr;  // the pool's counter
   std::vector<std::unique_ptr<Shard>> shards;
   std::atomic<bool> failed{false};
   Mutex error_mutex;
@@ -169,15 +171,16 @@ struct ThreadPool::BatchState {
   Mutex done_mutex;
   CondVar done_cv;  // signalled under done_mutex
 
-  /// Pops one index for participant `slot`: own shard back first, then the
-  /// front half of the richest sibling shard.
+  /// Pops one index for participant `slot`: the front of its own shard
+  /// (index order, so a batch's first job runs first), else the back half
+  /// of the richest sibling shard (the end its owner reaches last).
   bool take_index(std::size_t slot, std::size_t& out) {
     {
       Shard& mine = *shards[slot];
       const MutexLock lock(mine.mutex);
       if (!mine.indices.empty()) {
-        out = mine.indices.back();
-        mine.indices.pop_back();
+        out = mine.indices.front();
+        mine.indices.pop_front();
         return true;
       }
     }
@@ -196,11 +199,10 @@ struct ThreadPool::BatchState {
     {
       Shard& v = *shards[victim];
       const MutexLock lock(v.mutex);
-      const std::size_t take = (v.indices.size() + 1) / 2;
-      for (std::size_t i = 0; i < take; ++i) {
-        haul.push_back(v.indices.front());
-        v.indices.pop_front();
-      }
+      const auto split = v.indices.end() -
+                         static_cast<std::ptrdiff_t>((v.indices.size() + 1) / 2);
+      haul.assign(split, v.indices.end());
+      v.indices.erase(split, v.indices.end());
     }
     if (haul.empty()) return false;
     out = haul.front();
@@ -208,7 +210,7 @@ struct ThreadPool::BatchState {
     if (!haul.empty()) {
       Shard& mine = *shards[slot];
       const MutexLock lock(mine.mutex);
-      for (const std::size_t i : haul) mine.indices.push_back(i);
+      mine.indices.insert(mine.indices.end(), haul.begin(), haul.end());
     }
     return true;
   }
@@ -226,7 +228,10 @@ void ThreadPool::participate(const std::shared_ptr<BatchState>& batch,
   std::size_t index;
   while (batch->take_index(slot, index)) {
     if (batch->failed.load(std::memory_order_acquire)) {
-      batch->finish_one();  // abandoned, counted but never run
+      // Abandoned: counted, never run. Release pairs with stats(), so a
+      // reader that sees the count also sees the failure flag.
+      batch->abandoned->fetch_add(1, std::memory_order_release);
+      batch->finish_one();
       continue;
     }
     try {
@@ -254,6 +259,7 @@ void ThreadPool::run_indexed(std::size_t count,
 
   auto batch = std::make_shared<BatchState>();
   batch->fn = &fn;
+  batch->abandoned = &abandoned_;
   batch->remaining.store(count, std::memory_order_relaxed);
   batch->shards.reserve(parallelism);
   for (std::size_t s = 0; s < parallelism; ++s) {

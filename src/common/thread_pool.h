@@ -14,12 +14,15 @@
 //     participant 0 and executes jobs itself, so a batch completes even if
 //     every pool worker is busy with other batches — which is what makes
 //     nested run_batch calls (a job that itself fans out) deadlock-free by
-//     construction. Idle participants steal half of the richest sibling
-//     shard.
+//     construction. A participant runs its own shard in index order and,
+//     once it is empty, steals the back half of the richest sibling shard.
 //
 // Exception handling aggregates: every throwing job is counted, the first
 // exception is kept and rethrown on the calling thread after the batch
-// drains (remaining jobs are abandoned, never half-run). Determinism is the
+// drains (remaining jobs are abandoned, never half-run, and counted in
+// StatsSnapshot::abandoned). Shards run front to back, so when job 0 throws
+// while the other participants are busy in their own first jobs, every job
+// not yet started is abandoned. Determinism is the
 // caller's contract: jobs must not share mutable state, so results are a
 // pure function of the job list, independent of the parallelism level —
 // see driver::run_indexed and the (base_seed, task_index) RNG substream
@@ -56,6 +59,7 @@ class ThreadPool {
     std::uint64_t tasks_executed = 0;  // pool-level tasks run to completion
     std::uint64_t steals = 0;          // successful steal-half raids
     std::uint64_t parks = 0;           // times a worker went to sleep
+    std::uint64_t abandoned = 0;       // batch jobs skipped after a throw
   };
 
   /// Spawns `workers` threads (0 = hardware concurrency). Workers park
@@ -118,6 +122,7 @@ class ThreadPool {
   std::atomic<std::uint64_t> tasks_executed_{0};
   std::atomic<std::uint64_t> steals_{0};
   std::atomic<std::uint64_t> parks_{0};
+  std::atomic<std::uint64_t> abandoned_{0};
 };
 
 }  // namespace anu

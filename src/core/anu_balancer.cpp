@@ -1,6 +1,7 @@
 #include "core/anu_balancer.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/assert.h"
 #include "common/log.h"
@@ -41,19 +42,6 @@ void AnuBalancer::report(ServerId server,
   pending_[server.value()] = report;
 }
 
-AnuBalancer::Lookup AnuBalancer::locate(std::string_view name) const {
-  for (std::uint32_t r = 0; r < config_.max_probe_rounds; ++r) {
-    const UnitPoint p = family_.unit_point(name, r);
-    if (auto owner = regions_.owner_at(p)) {
-      return Lookup{*owner, r + 1};
-    }
-  }
-  // Mapped regions cover exactly half the interval, so the probability of
-  // reaching here is 2^-max_probe_rounds — it indicates corruption.
-  ANU_ENSURE(false && "ANU lookup exhausted the hash family");
-  return {};
-}
-
 bool AnuBalancer::server_up(ServerId id) const {
   ANU_REQUIRE(id.value() < up_.size());
   return up_[id.value()];
@@ -65,7 +53,7 @@ std::vector<AnuBalancer::Lookup> AnuBalancer::candidate_set(
   std::vector<Lookup> found;
   found.reserve(count);
   for (std::uint32_t r = 0;
-       r < config_.max_probe_rounds && found.size() < count; ++r) {
+       r < kMaxProbeRounds && found.size() < count; ++r) {
     const UnitPoint p = family_.unit_point(name, r);
     const auto owner = regions_.owner_at(p);
     if (!owner) continue;
@@ -137,32 +125,25 @@ std::vector<double> AnuBalancer::up_share_weights() const {
 
 balance::RebalanceResult AnuBalancer::apply_targets(
     const std::vector<UnitPoint::raw_type>& targets) {
-  const std::vector<ServerId> before = placement_;
   regions_.rebalance(targets);
-  placement_ = resolve_all();
+  return replace_placement();
+}
+
+balance::RebalanceResult AnuBalancer::replace_placement() {
+  const std::vector<ServerId> before = std::exchange(placement_, resolve_all());
   return balance::diff_placement(before, placement_);
 }
 
 balance::RebalanceResult AnuBalancer::tune() {
   ++rounds_;
-  std::vector<TunerInput> inputs(up_.size());
-  const auto shares = regions_.shares();
-  for (std::size_t s = 0; s < up_.size(); ++s) {
-    inputs[s].current_share = static_cast<double>(shares[s].raw());
-    if (up_[s]) {
-      // An up server that filed no report completed nothing this interval.
-      inputs[s].report =
-          pending_[s].value_or(balance::ServerReport{0.0, 0});
-    }
-    pending_[s].reset();
-  }
-  TunerDecision decision = run_delegate_round(inputs, config_.tuner);
+  TunerDecision decision = retune(regions_, up_, pending_, config_.tuner);
+  std::fill(pending_.begin(), pending_.end(), std::nullopt);
   last_average_ = decision.system_average;
-  last_incompetent_ = decision.incompetent;
-  for (std::uint32_t s : decision.incompetent) {
+  last_incompetent_ = std::move(decision.incompetent);
+  for (std::uint32_t s : last_incompetent_) {
     ANU_LOG_INFO("server %u flagged incompetent (share pinned at floor)", s);
   }
-  return apply_targets(RegionMap::normalize_shares(decision.weights));
+  return replace_placement();
 }
 
 balance::RebalanceResult AnuBalancer::on_server_failed(ServerId id) {

@@ -1,14 +1,15 @@
 // AnuBalancer — the paper's load-management system.
 //
 // Ties together the three ANU mechanisms (§4):
-//   * addressing: file-set names are hashed into the unit interval with the
-//     agreed hash family, re-hashing (next family member) until the point
-//     lands in some server's mapped region — expected 2 probes under the
-//     half-occupancy invariant, probability 2^-r of needing more than r;
+//   * addressing (core::locate): file-set names are hashed into the unit
+//     interval with the agreed hash family, re-hashing (next family member)
+//     until the point lands in some server's mapped region — expected 2
+//     probes under the half-occupancy invariant, probability 2^-r of
+//     needing more than r;
 //   * the partition table (RegionMap) holding every server's mapped region
 //     — the only replicated state;
-//   * the stateless delegate (tuner.h) that rescales mapped regions from
-//     per-interval latency reports.
+//   * the stateless delegate (core::retune) that rescales mapped regions
+//     from per-interval latency reports.
 //
 // Placement is a pure function of (hash family, region map): any node can
 // locate any file set with no lookup table, which is the addressing
@@ -21,6 +22,7 @@
 #include <vector>
 
 #include "balance/balancer.h"
+#include "core/decision.h"
 #include "core/region_map.h"
 #include "core/tuner.h"
 #include "hash/hash_family.h"
@@ -30,10 +32,8 @@ namespace anu::core {
 struct AnuConfig {
   TunerConfig tuner;
   std::uint64_t hash_seed = 0x616e755f68617368ULL;
-  /// Safety bound on re-hash probes. The miss chance is 2^-r after r
-  /// rounds, so 64 rounds puts a failed lookup beyond reach; hitting the
-  /// bound aborts (it would mean a corrupted region map).
-  std::uint32_t max_probe_rounds = 64;
+  /// Re-hash budget of locate(): always kMaxProbeRounds, not settable.
+  static constexpr std::uint32_t max_probe_rounds = kMaxProbeRounds;
   /// Placement choices per file set (1..8). 1 = first mapped probe wins
   /// (plain re-hash addressing). d >= 2 generalizes the SIEVE
   /// multiple-choice heuristic §4 leans on for the ceil(m/n + 1) load
@@ -62,14 +62,11 @@ class AnuBalancer final : public balance::LoadBalancer {
   balance::RebalanceResult on_server_added(ServerId id) override;
   [[nodiscard]] std::size_t shared_state_bytes() const override;
 
-  /// Stateless lookup by name: the addressing path any cluster node runs.
-  /// Also reports how many hash probes were needed (paper §4: "On average,
-  /// the system requires two probes to assign a file set").
-  struct Lookup {
-    ServerId server;
-    std::uint32_t probes = 0;
-  };
-  [[nodiscard]] Lookup locate(std::string_view name) const;
+  /// Stateless lookup by name: core::locate on this balancer's map.
+  using Lookup = core::Lookup;
+  [[nodiscard]] Lookup locate(std::string_view name) const {
+    return core::locate(regions_, family_, name);
+  }
 
   /// Both placement candidates of a name under the two-choice heuristic:
   /// the first probes landing on two distinct servers (second invalid when
@@ -98,6 +95,8 @@ class AnuBalancer final : public balance::LoadBalancer {
  private:
   balance::RebalanceResult apply_targets(
       const std::vector<UnitPoint::raw_type>& targets);
+  /// Re-resolves every file set on the current map; returns what moved.
+  balance::RebalanceResult replace_placement();
   [[nodiscard]] std::vector<ServerId> resolve_all() const;
   [[nodiscard]] std::vector<double> up_share_weights() const;
 

@@ -6,7 +6,7 @@
 
 #include "common/assert.h"
 #include "common/rng.h"
-#include "hash/hash_family.h"
+#include "core/decision.h"
 #include "workload/synthetic.h"
 
 namespace anu::driver {
@@ -167,27 +167,17 @@ void check_invariants(const proto::ProtocolCluster& protocol,
         "live replicas disagree on (version, map) after faults ceased");
     return;  // routing below assumes one agreed-on map
   }
-  // Coverage: every file set must resolve, within the probing budget, to a
-  // live server on the (agreed) replica. RegionMap's own invariants
-  // guarantee the partitions tile [0, 1) without overlap; this closes the
-  // loop from file-set name to live owner.
+  // Coverage: every file set must route to a live server on the (agreed)
+  // replica. RegionMap's own invariants guarantee the partitions tile
+  // [0, 1) without overlap; this closes the loop from file-set name to live
+  // owner. A probe budget exhausted inside core::locate aborts the run.
   const HashFamily family(config.protocol.hash_seed);
   const core::RegionMap& map = protocol.map_of(live_node);
   for (const workload::FileSet& fs : workload.file_sets()) {
-    bool resolved = false;
-    for (std::uint32_t r = 0; r < config.protocol.max_probe_rounds; ++r) {
-      const auto owner = map.owner_at(family.unit_point(fs.name, r));
-      if (!owner) continue;
-      resolved = true;
-      if (!network.node_up(owner->value())) {
-        out->push_back("file set " + fs.name + " routes to down server " +
-                       std::to_string(owner->value()));
-      }
-      break;
-    }
-    if (!resolved) {
-      out->push_back("file set " + fs.name +
-                     " unowned: probing exhausted the hash family");
+    const ServerId owner = core::locate(map, family, fs.name).server;
+    if (!network.node_up(owner.value())) {
+      out->push_back("file set " + fs.name + " routes to down server " +
+                     std::to_string(owner.value()));
     }
   }
 }

@@ -11,10 +11,10 @@
 //
 //   * every live node holds the same region-map version and table;
 //   * every node actually tuned (version > 0);
-//   * every file set routes, on every live replica, to a live server
-//     within the probing budget (the map covers the unit interval — the
-//     RegionMap's own invariants guarantee no overlap — and no file set is
-//     left unowned);
+//   * every file set routes, on the agreed replica, to a live server (the
+//     RegionMap's own invariants guarantee the map tiles the unit interval
+//     without overlap; a probe budget exhausted inside core::locate means
+//     a corrupt map and aborts the run rather than being reported);
 //   * message / retransmit / duplicate-suppression counters reconcile with
 //     the fault plan's injection counters.
 //

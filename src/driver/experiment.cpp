@@ -5,8 +5,9 @@
 #include <unordered_map>
 
 #include "common/assert.h"
+#include "common/clock.h"
 #include "metrics/latency_tracker.h"
-#include "sim/monitor.h"
+#include "sim/sim_clock.h"
 #include "sim/simulation.h"
 
 namespace anu::driver {
@@ -332,7 +333,8 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
   // movement.
   std::uint64_t rounds = 0;
   std::vector<ExperimentResult::ShareSample> share_samples;
-  sim::PeriodicMonitor tuner(sim, config.tuning_interval, [&](SimTime now) {
+  sim::SimClock clock(sim);
+  anu::PeriodicTimer tuner(clock, config.tuning_interval, [&](SimTime now) {
     if (now > horizon) return;
     ++rounds;
     for (std::uint32_t s = 0; s < cluster.server_count(); ++s) {

@@ -4,6 +4,7 @@
 
 #include "common/assert.h"
 #include "common/log.h"
+#include "core/decision.h"
 #include "obs/trace_sink.h"
 
 namespace anu::proto {
@@ -154,13 +155,7 @@ bool ProtocolCluster::replicas_agree() const {
 
 ServerId ProtocolCluster::route_on(const core::RegionMap& map,
                                    std::string_view name) const {
-  for (std::uint32_t r = 0; r < config_.max_probe_rounds; ++r) {
-    if (const auto owner = map.owner_at(family_.unit_point(name, r))) {
-      return *owner;
-    }
-  }
-  ANU_ENSURE(false && "lookup exhausted the hash family");
-  return {};
+  return core::locate(map, family_, name).server;
 }
 
 ServerId ProtocolCluster::route_from(std::uint32_t server,
@@ -177,10 +172,6 @@ std::uint64_t ProtocolCluster::shed_notices_received(
 void ProtocolCluster::send_reliable(std::uint32_t self, std::uint32_t to,
                                     Message message) {
   Node& node = nodes_[self];
-  if (!config_.retransmit.enabled) {
-    network_.send(self, to, std::move(message));
-    return;
-  }
   const std::uint64_t seq = node.next_seq++;
   if (auto* report = std::get_if<LatencyReport>(&message)) {
     report->seq = seq;
@@ -340,26 +331,20 @@ void ProtocolCluster::delegate_tune(std::uint32_t self) {
   if (node.collecting_round <= node.last_tuned_round) return;
   node.last_tuned_round = node.collecting_round;
 
-  std::vector<core::TunerInput> inputs(nodes_.size());
-  const auto shares = node.map.shares();
+  // A server the delegate believes down gets no report — its region is
+  // reclaimed this round (with heartbeats, this is how a failure's load is
+  // reassigned with no oracle at all). A believed-up server whose report
+  // was lost reads as idle — bounded growth, never a stall.
+  std::vector<bool> up(nodes_.size());
   for (std::uint32_t s = 0; s < nodes_.size(); ++s) {
-    inputs[s].current_share = static_cast<double>(shares[s].raw());
-    // A server the delegate believes down gets no report — its region is
-    // reclaimed this round (with heartbeats, this is how a failure's load
-    // is reassigned with no oracle at all). A believed-up server whose
-    // report was lost reads as idle — bounded growth, never a stall.
-    if (believed_up(self, s)) {
-      inputs[s].report = node.round_reports[s].value_or(
-          balance::ServerReport{0.0, 0});
-    }
+    up[s] = believed_up(self, s);
   }
-  const auto decision =
-      core::run_delegate_round(inputs, config_.tuner, clock_.trace(), clock_.now());
   // Tune into a copy: node.map must stay the previous configuration until
   // apply_update runs, so the delegate computes its shed notices from the
   // same (previous, new) pair as every other node.
   core::RegionMap tuned = node.map;
-  tuned.rebalance(core::RegionMap::normalize_shares(decision.weights));
+  core::retune(tuned, up, node.round_reports, config_.tuner, clock_.trace(),
+               clock_.now());
   ++published_;
 
   RegionMapUpdate update;

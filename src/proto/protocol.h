@@ -57,8 +57,6 @@ namespace anu::proto {
 /// degrade one round; under sustained loss (docs/chaos.md) reliability is
 /// what keeps every round completing and every replica converging.
 struct RetransmitConfig {
-  /// Master switch; off restores the seed's fire-and-forget behaviour.
-  bool enabled = true;
   /// Initial retransmit timeout (seconds). Doubled per attempt, capped.
   double rto = 0.1;
   double rto_max = 2.0;
@@ -80,7 +78,6 @@ struct ProtocolConfig {
   double report_grace = 0.5;
   core::TunerConfig tuner;
   std::uint64_t hash_seed = 0x616e755f68617368ULL;
-  std::uint32_t max_probe_rounds = 64;
   /// Membership source. false: an oracle membership service (every node
   /// instantly knows who is up — the default, and what the §4 prose
   /// presumes). true: emergent heartbeat detection — nodes beacon every
@@ -197,7 +194,7 @@ class ProtocolCluster {
                                   std::string_view name) const;
 
   /// Stamps the message with self's next sequence number and sends it with
-  /// ack/retransmit tracking (plain send when retransmit.enabled is off).
+  /// ack/retransmit tracking.
   void send_reliable(std::uint32_t self, std::uint32_t to, Message message);
   void arm_retransmit(std::uint32_t self, std::uint64_t seq);
   void on_retransmit_timer(std::uint32_t self, std::uint64_t seq);

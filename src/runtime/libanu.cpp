@@ -1,20 +1,18 @@
-// libanu implementation: the public Balancer facade over core/{tuner,
-// region_map} and hash/hash_family — the exact components the simulator
-// and the protocol drive, so an embedding gets the simulated behaviour.
+// libanu implementation: the public Balancer facade over core/decision —
+// the same locate and retune the simulator and the protocol drive, so an
+// embedding gets the simulated behaviour.
 #include "anu/anu.h"
 
+#include <algorithm>
 #include <optional>
 #include <utility>
 
 #include "common/assert.h"
-#include "core/region_map.h"
-#include "core/tuner.h"
-#include "hash/hash_family.h"
+#include "core/decision.h"
 
 namespace anu {
 
 struct Balancer::Impl {
-  BalancerConfig config;
   core::TunerConfig tuner;
   HashFamily family;
   core::RegionMap map;
@@ -23,8 +21,7 @@ struct Balancer::Impl {
   std::vector<std::optional<balance::ServerReport>> reports;
 
   Impl(std::size_t server_count, const BalancerConfig& cfg)
-      : config(cfg),
-        family(cfg.hash_seed),
+      : family(cfg.hash_seed),
         map(server_count),
         up(server_count, true),
         reports(server_count) {
@@ -40,7 +37,6 @@ struct Balancer::Impl {
 Balancer::Balancer(std::size_t server_count, const BalancerConfig& config)
     : impl_(std::make_unique<Impl>(server_count, config)) {
   ANU_REQUIRE(server_count > 0);
-  ANU_REQUIRE(config.max_probe_rounds > 0);
 }
 
 Balancer::~Balancer() = default;
@@ -70,47 +66,21 @@ void Balancer::record_latency(std::uint32_t server, double mean_latency,
 
 RetuneResult Balancer::retune() {
   Impl& impl = *impl_;
-  const std::size_t k = impl.up.size();
-  std::vector<core::TunerInput> inputs(k);
   const auto before = impl.map.shares();
-  for (std::uint32_t s = 0; s < k; ++s) {
-    inputs[s].current_share = static_cast<double>(before[s].raw());
-    if (impl.up[s]) {
-      // Same policy as the wire protocol: an up server that reported
-      // nothing reads as idle and grows bounded, it never stalls a round.
-      inputs[s].report =
-          impl.reports[s].value_or(balance::ServerReport{0.0, 0});
-    }
-  }
-  const auto decision =
-      core::run_delegate_round(inputs, impl.tuner, nullptr, 0.0);
-  impl.map.rebalance(core::RegionMap::normalize_shares(decision.weights));
+  auto decision = core::retune(impl.map, impl.up, impl.reports, impl.tuner);
   ++impl.version;
   std::fill(impl.reports.begin(), impl.reports.end(), std::nullopt);
 
   RetuneResult result;
   result.version = impl.version;
   result.system_average = decision.system_average;
-  result.incompetent = decision.incompetent;
-  const auto after = impl.map.shares();
-  for (std::uint32_t s = 0; s < k; ++s) {
-    if (before[s].raw() != after[s].raw()) {
-      result.changed = true;
-      break;
-    }
-  }
+  result.incompetent = std::move(decision.incompetent);
+  result.changed = impl.map.shares() != before;
   return result;
 }
 
 std::uint32_t Balancer::route(std::string_view key) const {
-  const Impl& impl = *impl_;
-  for (std::uint32_t r = 0; r < impl.config.max_probe_rounds; ++r) {
-    if (const auto owner = impl.map.owner_at(impl.family.unit_point(key, r))) {
-      return owner->value();
-    }
-  }
-  ANU_ENSURE(false && "lookup exhausted the hash family");
-  return 0;
+  return core::locate(impl_->map, impl_->family, key).server.value();
 }
 
 std::uint64_t Balancer::version() const { return impl_->version; }

@@ -3,9 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
+
+#include "common/thread_pool.h"
 
 namespace anu::driver {
 namespace {
@@ -61,17 +66,42 @@ TEST(Sweep, ThrowingJobRethrowsOnCaller) {
 }
 
 TEST(Sweep, ThrowingJobAbandonsUnstartedJobs) {
-  // One poisoned job among slow ones: jobs claimed after the failure is
-  // flagged must not run. With 2 workers and the first job throwing
-  // immediately, at most a handful of jobs start before the flag is seen.
-  std::atomic<int> ran{0};
+  // Job 0 throws; every other job waits (up to a deadline) for that throw
+  // before it returns. Participants run their own shards in index order,
+  // so job 0 is the caller's first job and each helper can have started at
+  // most its own first job before the throw. Every job is then either run
+  // or abandoned, in any schedule.
+  constexpr std::size_t kJobs = 1000;
+  const std::size_t parallelism =
+      std::min<std::size_t>(4, ThreadPool::global().worker_count() + 1);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  std::atomic<bool> thrown{false};
+  std::atomic<std::size_t> ran{0};
+  std::atomic<std::size_t> started_before_throw{0};
   std::vector<std::function<void()>> jobs;
-  jobs.push_back([] { throw std::logic_error("poison"); });
-  for (int i = 0; i < 1000; ++i) {
-    jobs.push_back([&] { ++ran; });
+  jobs.push_back([&] {
+    ++ran;
+    thrown = true;
+    throw std::logic_error("poison");
+  });
+  for (std::size_t i = 1; i < kJobs; ++i) {
+    jobs.push_back([&] {
+      ++ran;
+      if (thrown) return;
+      ++started_before_throw;
+      while (!thrown && std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::yield();
+      }
+    });
   }
-  EXPECT_THROW(run_parallel(jobs, 2), std::logic_error);
-  EXPECT_LT(ran.load(), 1000);
+  const std::uint64_t abandoned_before = ThreadPool::global().stats().abandoned;
+  EXPECT_THROW(run_parallel(jobs, parallelism), std::logic_error);
+  const std::uint64_t abandoned =
+      ThreadPool::global().stats().abandoned - abandoned_before;
+  EXPECT_LE(started_before_throw.load(), parallelism - 1);
+  EXPECT_EQ(ran.load() + abandoned, kJobs);
+  EXPECT_GT(abandoned, 0u);
 }
 
 TEST(Sweep, FirstExceptionWinsWhenSeveralThrow) {

@@ -1,7 +1,11 @@
-// Tests for the stateless delegate tuning rule.
+// Tests for the stateless delegate tuning rule and its failover property.
 #include "core/tuner.h"
 
 #include <gtest/gtest.h>
+
+#include <string>
+
+#include "core/anu_balancer.h"
 
 namespace anu::core {
 namespace {
@@ -173,6 +177,50 @@ TEST_P(TunerConvergenceTest, SharesConvergeToCapacityRatios) {
 
 INSTANTIATE_TEST_SUITE_P(Alphas, TunerConvergenceTest,
                          ::testing::Values(0.25, 0.5, 0.75, 1.0));
+
+TEST(DelegateFailover, NewDelegateComputesIdenticalConfiguration) {
+  // §4: "If the delegate fails, the next elected delegate runs the same
+  // protocol with the same information." The delegate round is a pure
+  // function, so two delegates fed the same reports must emit the same
+  // decision — byte for byte.
+  std::vector<TunerInput> reports(5);
+  for (std::size_t s = 0; s < 5; ++s) {
+    reports[s] = {0.2,
+                  balance::ServerReport{0.5 + static_cast<double>(s), 40}};
+  }
+  const TunerConfig config;
+  const auto by_old_delegate = run_delegate_round(reports, config);
+  // Delegate crashes; server 1 takes over with the same reports.
+  const auto by_new_delegate = run_delegate_round(reports, config);
+  EXPECT_EQ(by_old_delegate.weights, by_new_delegate.weights);
+  EXPECT_EQ(by_old_delegate.system_average, by_new_delegate.system_average);
+  EXPECT_EQ(by_old_delegate.incompetent, by_new_delegate.incompetent);
+}
+
+TEST(DelegateFailover, BalancersConvergeIdenticallyUnderFailover) {
+  // Two replicas of the balancer state machine fed identical reports reach
+  // identical region maps regardless of which node runs the rounds.
+  AnuBalancer a(AnuConfig{}, 5), b(AnuConfig{}, 5);
+  std::vector<workload::FileSet> fs;
+  for (std::uint32_t i = 0; i < 20; ++i) {
+    fs.push_back({FileSetId(i), "d/" + std::to_string(i), 1.0});
+  }
+  a.register_file_sets(fs);
+  b.register_file_sets(fs);
+  for (int round = 0; round < 10; ++round) {
+    for (std::uint32_t s = 0; s < 5; ++s) {
+      const balance::ServerReport report{1.0 + s * 0.7, 30};
+      a.report(ServerId(s), report);
+      b.report(ServerId(s), report);
+    }
+    a.tune();
+    b.tune();
+  }
+  for (std::uint32_t s = 0; s < 5; ++s) {
+    EXPECT_EQ(a.region_map().share(ServerId(s)).raw(),
+              b.region_map().share(ServerId(s)).raw());
+  }
+}
 
 }  // namespace
 }  // namespace anu::core

@@ -170,6 +170,14 @@ int run_server(const runtime::ServeSpec& spec) {
     ::close(route_fd);
     return 1;
   }
+  // Read the bound address back: with --port 0 the kernel picked the port.
+  socklen_t route_len = sizeof(route_addr);
+  if (::getsockname(route_fd, reinterpret_cast<sockaddr*>(&route_addr),
+                    &route_len) != 0) {
+    std::perror("getsockname");
+    ::close(route_fd);
+    return 1;
+  }
 
   runtime::EventLoop loop(clock);
   for (std::uint32_t n = 0; n < transport.fds().size(); ++n) {

@@ -6,14 +6,12 @@
 // but the reports it receives, because the tuning round is a pure
 // function. This is the distributed-systems story behind the single-
 // process AnuBalancer used in the other examples.
-// The membership timeline below is written as a coroutine process
-// (sim::Process) — the YACSIM-style sequential scripting the original
-// simulator used.
+// The membership timeline below is sequential code: run the simulation up
+// to a point in simulated time, act, and run on.
 #include <cstdio>
 
 #include "proto/network.h"
 #include "proto/protocol.h"
-#include "sim/process.h"
 #include "sim/sim_clock.h"
 
 using namespace anu;
@@ -62,29 +60,26 @@ int main() {
   std::printf("start (equal shares, version 0 everywhere):\n");
   show(cluster, kServers);
 
-  // The experiment timeline, scripted as a simulation process: sequential
-  // code that sleeps in simulated time (YACSIM style).
-  auto timeline = [&](sim::Simulation& s) -> sim::Process {
-    co_await sim::delay_until(s, 120.0 * 5 + 5.0);
-    std::printf("\nafter 5 tuning rounds (reports -> delegate s0 -> "
-                "broadcast):\n");
-    show(cluster, kServers);
+  // The experiment timeline: run_until leaves the clock at its bound, so
+  // each step acts at exactly that simulated time.
+  sim.run_until(120.0 * 5 + 5.0);
+  std::printf("\nafter 5 tuning rounds (reports -> delegate s0 -> "
+              "broadcast):\n");
+  show(cluster, kServers);
 
-    std::printf("\nkilling the delegate (server 0)...\n");
-    cluster.fail_server(0);
+  std::printf("\nkilling the delegate (server 0)...\n");
+  cluster.fail_server(0);
 
-    co_await sim::delay_until(s, 120.0 * 10 + 5.0);
-    std::printf("server 1 took over; rounds kept completing:\n");
-    show(cluster, kServers);
+  sim.run_until(120.0 * 10 + 5.0);
+  std::printf("server 1 took over; rounds kept completing:\n");
+  show(cluster, kServers);
 
-    std::printf("\nrecovering server 0 (it rejoins with a stale replica and\n"
-                "catches up via state transfer + versioned broadcasts):\n");
-    cluster.recover_server(0);
+  std::printf("\nrecovering server 0 (it rejoins with a stale replica and\n"
+              "catches up via state transfer + versioned broadcasts):\n");
+  cluster.recover_server(0);
 
-    co_await sim::delay_until(s, 120.0 * 12 + 5.0);
-    show(cluster, kServers);
-  };
-  sim::spawn(timeline(sim));
+  sim.run_until(120.0 * 12 + 5.0);
+  show(cluster, kServers);
   sim.run_until(120.0 * 12 + 6.0);
 
   std::printf("\nwire totals: %llu messages, %llu bytes over %llu rounds\n",

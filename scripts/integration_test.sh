@@ -11,7 +11,9 @@
 #
 # Usage: scripts/integration_test.sh [build-dir]     (default: build)
 # Environment:
-#   ANU_INTEGRATION_PORT     client-facing UDP port (default 19733)
+#   ANU_INTEGRATION_PORT     client-facing UDP port (default 0: the server
+#                            binds an ephemeral port and prints it, so
+#                            concurrent runs cannot collide)
 #   ANU_INTEGRATION_LOG_DIR  where serve.log/client.log land
 #                            (default <build-dir>/integration-logs; CI
 #                            uploads this directory on failure)
@@ -25,7 +27,7 @@ if [ ! -x "$BIN" ]; then
   exit 2
 fi
 
-PORT="${ANU_INTEGRATION_PORT:-19733}"
+PORT="${ANU_INTEGRATION_PORT:-0}"
 RUN_SECONDS=6
 REQUESTS=150
 LOG_DIR="${ANU_INTEGRATION_LOG_DIR:-$BUILD_DIR/integration-logs}"
@@ -57,6 +59,9 @@ for _ in $(seq 1 50); do
   sleep 0.1
 done
 [ -n "$up" ] || fail "server did not come up on port $PORT"
+# The server prints the port it actually bound (the ephemeral one for 0).
+PORT=$(sed -n 's/.*routing on udp port \([0-9][0-9]*\),.*/\1/p' "$SERVE_LOG")
+[ -n "$PORT" ] && [ "$PORT" -ne 0 ] || fail "server did not report its port"
 
 : >"$CLIENT_LOG"
 client_exit=0

@@ -7,7 +7,11 @@
 #     cli_batch_determinism compares across --jobs;
 #   * the cli_matrix_determinism scenario matrix;
 #   * a multi-seed `--chaos-profile mixed` batch, which drives the message
-#     protocol (delegate rounds, retransmits, failover) end to end.
+#     protocol (delegate rounds, retransmits, failover) end to end;
+#   * the JSONL event trace of one direct run (the `anu_sim --example`
+#     config) and of one chaos run (`--chaos-seed 1`). The scalar
+#     artifacts above cannot see a reordered or dropped trace emit; these
+#     two traces, one per experiment driver, can.
 #
 # The cli_* ctest checks only compare --jobs 8 against --jobs 1 of one
 # build; this script is what shows a refactor kept the parent's behaviour.
@@ -63,6 +67,9 @@ run_artifacts() {  # run_artifacts <anu_sim> <out-dir>
     --matrix-out "$out/matrix" >/dev/null
   "$sim" --seeds 8 --chaos-seed 1 --chaos-profile mixed --jobs "$JOBS" \
     --json-out "$out/chaos.json" >/dev/null
+  "$sim" --example >"$out/example.cfg"
+  "$sim" --trace-out "$out/direct.trace.jsonl" "$out/example.cfg" >/dev/null
+  "$sim" --chaos-seed 1 --trace-out "$out/chaos.trace.jsonl" >/dev/null
   # Drop the per-revision "git" field (top level, one line) in place.
   find "$out" -name '*.json' -exec sed -i '/^  "git": /d' {} +
 }
@@ -80,7 +87,7 @@ run_artifacts "$WORK/base-build/tools/anu_sim" "$WORK/base-out"
 run_artifacts "$WORK/head-build/tools/anu_sim" "$WORK/head-out"
 
 status=0
-for artifact in batch.json chaos.json; do
+for artifact in batch.json chaos.json direct.trace.jsonl chaos.trace.jsonl; do
   if cmp "$WORK/base-out/$artifact" "$WORK/head-out/$artifact"; then
     echo "parity: $artifact identical"
   else
@@ -95,6 +102,6 @@ fi
 if [ "$status" -ne 0 ]; then
   echo "FAIL: artifacts differ from $BASE_REF" >&2
 else
-  echo "PASS: batch, matrix and chaos artifacts match $BASE_REF byte for byte"
+  echo "PASS: batch, matrix, chaos and trace artifacts match $BASE_REF byte for byte"
 fi
 exit "$status"

@@ -307,10 +307,4 @@ void ThreadPool::run_indexed(std::size_t count,
   if (error) std::rethrow_exception(error);
 }
 
-void ThreadPool::run_batch(const std::vector<Task>& jobs,
-                           std::size_t parallelism) {
-  run_indexed(jobs.size(), [&jobs](std::size_t i) { jobs[i](); },
-              parallelism);
-}
-
 }  // namespace anu

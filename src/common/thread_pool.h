@@ -1,7 +1,7 @@
 // Persistent work-stealing thread pool.
 //
 // One pool of workers lives for the process (ThreadPool::global()), so a
-// 200-seed sweep does not pay thread creation per run_parallel call the way
+// 200-seed sweep does not pay thread creation per run_indexed call the way
 // the old spawn-per-batch scheme did. Scheduling is two-level:
 //
 //   * Pool level: each worker owns a deque of submitted tasks. A worker
@@ -9,11 +9,11 @@
 //     steals the front half of the richest other deque when its own runs
 //     dry (steal-half amortizes the steal lock across many tasks), and
 //     parks on a condition variable when the whole pool is empty.
-//   * Batch level: run_batch shards its jobs round-robin across one
+//   * Batch level: run_indexed shards its indices round-robin across one
 //     index-deque per participant. The calling thread is always
 //     participant 0 and executes jobs itself, so a batch completes even if
 //     every pool worker is busy with other batches — which is what makes
-//     nested run_batch calls (a job that itself fans out) deadlock-free by
+//     nested run_indexed calls (a job that itself fans out) deadlock-free by
 //     construction. A participant runs its own shard in index order and,
 //     once it is empty, steals the back half of the richest sibling shard.
 //
@@ -91,9 +91,6 @@ class ThreadPool {
   void run_indexed(std::size_t count,
                    const std::function<void(std::size_t)>& fn,
                    std::size_t parallelism = 0);
-
-  /// run_indexed over an explicit job list.
-  void run_batch(const std::vector<Task>& jobs, std::size_t parallelism = 0);
 
  private:
   struct Worker;

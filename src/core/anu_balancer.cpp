@@ -70,14 +70,6 @@ std::vector<AnuBalancer::Lookup> AnuBalancer::candidate_set(
   return found;
 }
 
-AnuBalancer::Candidates AnuBalancer::candidates(std::string_view name) const {
-  const auto set = candidate_set(name, 2);
-  Candidates result;
-  result.first = set[0];
-  if (set.size() > 1) result.second = set[1];
-  return result;
-}
-
 std::vector<ServerId> AnuBalancer::resolve_all() const {
   std::vector<ServerId> placed;
   placed.reserve(names_.size());

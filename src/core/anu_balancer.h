@@ -68,18 +68,9 @@ class AnuBalancer final : public balance::LoadBalancer {
     return core::locate(regions_, family_, name);
   }
 
-  /// Both placement candidates of a name under the two-choice heuristic:
-  /// the first probes landing on two distinct servers (second invalid when
-  /// only one server is mapped).
-  struct Candidates {
-    Lookup first;
-    Lookup second;
-  };
-  [[nodiscard]] Candidates candidates(std::string_view name) const;
-
   /// First `count` probes landing on distinct servers (may return fewer
-  /// when fewer distinct servers are mapped). candidates() is the
-  /// count == 2 special case.
+  /// when fewer distinct servers are mapped): the placement candidates of
+  /// the d-choice heuristic.
   [[nodiscard]] std::vector<Lookup> candidate_set(std::string_view name,
                                                   std::uint32_t count) const;
 

@@ -6,9 +6,8 @@
 
 #include "common/assert.h"
 #include "common/clock.h"
-#include "metrics/latency_tracker.h"
+#include "driver/data_plane.h"
 #include "sim/sim_clock.h"
-#include "sim/simulation.h"
 
 namespace anu::driver {
 
@@ -36,21 +35,9 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
                                 const workload::Workload& workload,
                                 balance::LoadBalancer& balancer) {
   ANU_REQUIRE(config.tuning_interval > 0.0);
-  const SimTime horizon =
-      config.horizon > 0.0 ? config.horizon : workload.span() + 1.0;
-
-  sim::Simulation sim;
-  // Attach the sink before the cluster constructs so the initial
-  // server_add roster lands in the trace.
-  obs::TraceSink* const trace = config.trace;
-  sim.set_trace(trace);
-  cluster::Cluster cluster(sim, config.cluster);
-  metrics::LatencyTracker latency(cluster.server_count());
-
-  std::vector<double> weights;
-  weights.reserve(workload.file_set_count());
-  for (const auto& fs : workload.file_sets()) weights.push_back(fs.weight);
-  metrics::MovementTracker movement(weights);
+  DataPlane plane(config.cluster, workload, config.horizon, config.trace);
+  sim::Simulation& sim = plane.sim;
+  cluster::Cluster& cluster = plane.cluster;
 
   // Live-state adapter for dispatch strategies (JSQ(d) / JIQ / redundancy):
   // the balance layer sees queue lengths and speeds without depending on
@@ -93,9 +80,10 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
       cluster.migrate_queued(move.file_set, from, move.to);
       // Traced at commit time (not decision time), so with control_delay
       // the trace shows when routing actually changed.
-      if (trace) {
-        trace->emit(sim.now(), obs::EventType::kFileSetMove,
-                    move.file_set.value(), from.value(), move.to.value());
+      if (plane.trace) {
+        plane.trace->emit(sim.now(), obs::EventType::kFileSetMove,
+                          move.file_set.value(), from.value(),
+                          move.to.value());
       }
       routing[move.file_set.value()] = move.to;
       if (config.move_warmup_penalty > 0.0) {
@@ -103,28 +91,19 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
       }
     }
   };
-  auto apply_moves = [&](const balance::RebalanceResult& result,
-                         bool immediate) {
-    if (immediate || config.control_delay <= 0.0) {
-      commit_moves(result);
-    } else {
-      sim.schedule_after(config.control_delay,
-                         [&, result] { commit_moves(result); });
-    }
-  };
 
   // Oracle views for prescient systems.
   const bool want_oracle = config.oracle_lookahead;
   const auto demand_matrix =
       want_oracle
-          ? lookahead_demands(workload, config.tuning_interval, horizon)
+          ? lookahead_demands(workload, config.tuning_interval, plane.horizon)
           : std::vector<std::vector<double>>{};
   auto oracle_for = [&](std::size_t interval_index) {
     balance::OracleView view;
     if (want_oracle && interval_index < demand_matrix.size()) {
       view.file_set_demand = demand_matrix[interval_index];
     } else {
-      view.file_set_demand = weights;
+      view.file_set_demand = plane.weights;
     }
     view.server_speeds = cluster.up_speeds();
     return view;
@@ -245,47 +224,26 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
     }
   } replicas{cluster};
 
-  std::uint64_t issued = 0;
-  std::function<void(FileSetId, double)> dispatch = [&](FileSetId fs,
-                                                        double demand) {
+  auto dispatch = [&](FileSetId fs, double demand) {
     if (per_request) {
       const balance::DispatchDecision decision = balancer.dispatch(fs, demand);
       ANU_REQUIRE(decision.count >= 1);
       if (decision.count == 1) {
-        if (trace) {
-          trace->emit(sim.now(), obs::EventType::kRequestIssue, fs.value(),
-                      decision.targets[0].value(), 0, demand);
-        }
-        cluster.submit(decision.targets[0], fs, demand);
+        plane.issue(decision.targets[0], fs, demand);
       } else {
-        replicas.submit(decision, fs, demand, trace, sim.now());
+        replicas.submit(decision, fs, demand, plane.trace, sim.now());
       }
       return;
     }
-    const ServerId target = routing[fs.value()];
     double extra = 0.0;
     std::swap(extra, pending_penalty[fs.value()]);
-    if (trace) {
-      trace->emit(sim.now(), obs::EventType::kRequestIssue, fs.value(),
-                  target.value(), 0, demand + extra);
-    }
-    cluster.submit(target, fs, demand + extra);
+    plane.issue(routing[fs.value()], fs, demand + extra);
   };
-  replicas.redispatch = [&dispatch](FileSetId fs, double demand) {
-    dispatch(fs, demand);
-  };
+  replicas.redispatch = dispatch;
 
-  RunningStats steady_state;
-  LogHistogram histogram;
   cluster.on_complete = [&](const cluster::Completion& c) {
     if (c.job_id != 0) replicas.on_complete(c.job_id);
-    latency.observe(c);
-    histogram.add(c.latency());
-    if (c.completion >= horizon * 0.5) steady_state.add(c.latency());
-    if (trace) {
-      trace->emit(c.completion, obs::EventType::kRequestComplete,
-                  c.file_set.value(), c.server.value(), 0, c.latency());
-    }
+    plane.complete(c);
   };
   // Requests stranded on a failing server re-dispatch: plain requests go
   // back through dispatch (placement is already updated); replicas are
@@ -310,24 +268,8 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
     }
   }
 
-  // Arrival cursor: one in-flight event that submits request i and arms
-  // request i+1 (keeps the calendar O(servers), not O(requests)).
-  const auto& requests = workload.requests();
-  std::size_t cursor = 0;
-  std::function<void()> arrive = [&] {
-    while (cursor < requests.size() &&
-           requests[cursor].arrival <= sim.now()) {
-      const workload::Request& r = requests[cursor++];
-      ++issued;
-      dispatch(r.file_set, r.demand);
-    }
-    if (cursor < requests.size()) {
-      sim.schedule_at(requests[cursor].arrival, arrive);
-    }
-  };
-  if (!requests.empty()) {
-    sim.schedule_at(requests.front().arrival, arrive);
-  }
+  // Armed before the tuning timer, so at equal times arrivals run first.
+  plane.start_arrivals(dispatch);
 
   // The tuning loop (§4): collect interval reports, delegate round, record
   // movement.
@@ -335,7 +277,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
   std::vector<ExperimentResult::ShareSample> share_samples;
   sim::SimClock clock(sim);
   anu::PeriodicTimer tuner(clock, config.tuning_interval, [&](SimTime now) {
-    if (now > horizon) return;
+    if (now > plane.horizon) return;
     ++rounds;
     for (std::uint32_t s = 0; s < cluster.server_count(); ++s) {
       const auto id = ServerId(s);
@@ -349,15 +291,20 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
         static_cast<std::size_t>(std::llround(now / config.tuning_interval));
     balancer.set_oracle(oracle_for(next_interval));
     const balance::RebalanceResult result = balancer.tune();
-    movement.record(now, result);
-    apply_moves(result, /*immediate=*/false);
+    plane.movement.record(now, result);
+    if (config.control_delay <= 0.0) {
+      commit_moves(result);
+    } else {
+      sim.schedule_after(config.control_delay,
+                         [&, result] { commit_moves(result); });
+    }
 
-    if (trace) {
-      const auto& round = movement.rounds().back();
-      trace->emit(now, obs::EventType::kTuningRound,
-                  static_cast<std::uint32_t>(rounds),
-                  static_cast<std::uint32_t>(round.moved), 0,
-                  round.moved_weight, round.cumulative_pct);
+    if (plane.trace) {
+      const auto& round = plane.movement.rounds().back();
+      plane.trace->emit(now, obs::EventType::kTuningRound,
+                        static_cast<std::uint32_t>(rounds),
+                        static_cast<std::uint32_t>(round.moved), 0,
+                        round.moved_weight, round.cumulative_pct);
     }
     // Sample the assigned-weight share per server (the share trace of
     // ExperimentResult::shares_over_time). Dispatch strategies have no
@@ -368,17 +315,17 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
     sample.share.assign(cluster.server_count(), 0.0);
     double total_weight = 0.0;
     for (std::uint32_t fs = 0; fs < workload.file_set_count(); ++fs) {
-      const double w = weights[fs];
+      const double w = plane.weights[fs];
       sample.share[balancer.server_for(FileSetId(fs)).value()] += w;
       total_weight += w;
     }
     if (total_weight > 0.0) {
       for (double& s : sample.share) s /= total_weight;
     }
-    if (trace) {
+    if (plane.trace) {
       for (std::uint32_t s = 0; s < sample.share.size(); ++s) {
-        trace->emit(now, obs::EventType::kRegionRetune, s, 0, 0,
-                    sample.share[s]);
+        plane.trace->emit(now, obs::EventType::kRegionRetune, s, 0, 0,
+                          sample.share[s]);
       }
     }
     share_samples.push_back(std::move(sample));
@@ -386,92 +333,54 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
 
   // Scripted membership changes. Balancer first (placement must be valid
   // before the cluster flushes queued requests back through dispatch).
-  for (const cluster::MembershipEvent& event : config.failures.events()) {
-    sim.schedule_at(event.when, [&, event] {
-      switch (event.action) {
-        case cluster::MembershipAction::kFail:
-        case cluster::MembershipAction::kRemove: {
-          const auto moves = balancer.on_server_failed(event.server);
-          movement.record(sim.now(), moves);
-          apply_moves(moves, /*immediate=*/true);
-          // With control_delay, routing may lag the balancer and still pin
-          // a file set to the failing server the balancer never saw it on;
-          // sweep every such entry onto the balancer's current placement.
-          if (!per_request) {
-            for (std::uint32_t fs = 0; fs < routing.size(); ++fs) {
-              if (routing[fs] == event.server) {
-                routing[fs] = balancer.server_for(FileSetId(fs));
+  auto record_moves = [&](const balance::RebalanceResult& moves) {
+    plane.movement.record(sim.now(), moves);
+    commit_moves(moves);
+  };
+  plane.schedule_membership(
+      config.failures, [&](const cluster::MembershipEvent& event) {
+        switch (event.action) {
+          case cluster::MembershipAction::kFail:
+          case cluster::MembershipAction::kRemove:
+            record_moves(balancer.on_server_failed(event.server));
+            // With control_delay, routing may lag the balancer and still
+            // pin a file set to the failing server the balancer never saw
+            // it on; sweep every such entry onto the balancer's current
+            // placement.
+            if (!per_request) {
+              for (std::uint32_t fs = 0; fs < routing.size(); ++fs) {
+                if (routing[fs] == event.server) {
+                  routing[fs] = balancer.server_for(FileSetId(fs));
+                }
               }
             }
+            cluster.fail_server(event.server);
+            break;
+          case cluster::MembershipAction::kRecover:
+            cluster.recover_server(event.server);
+            balancer.set_oracle(oracle_for(static_cast<std::size_t>(
+                sim.now() / config.tuning_interval)));
+            record_moves(balancer.on_server_recovered(event.server));
+            break;
+          case cluster::MembershipAction::kAdd: {
+            const ServerId id = cluster.add_server(event.speed);
+            plane.latency.add_server();
+            balancer.set_oracle(oracle_for(static_cast<std::size_t>(
+                sim.now() / config.tuning_interval)));
+            record_moves(balancer.on_server_added(id));
+            break;
           }
-          cluster.fail_server(event.server);
-          break;
+          default:  // degrade/restore: the data plane applies them
+            break;
         }
-        case cluster::MembershipAction::kRecover: {
-          cluster.recover_server(event.server);
-          balancer.set_oracle(oracle_for(static_cast<std::size_t>(
-              sim.now() / config.tuning_interval)));
-          const auto moves = balancer.on_server_recovered(event.server);
-          movement.record(sim.now(), moves);
-          apply_moves(moves, /*immediate=*/true);
-          break;
-        }
-        case cluster::MembershipAction::kAdd: {
-          const ServerId id = cluster.add_server(event.speed);
-          latency.add_server();
-          balancer.set_oracle(oracle_for(static_cast<std::size_t>(
-              sim.now() / config.tuning_interval)));
-          const auto moves = balancer.on_server_added(id);
-          movement.record(sim.now(), moves);
-          apply_moves(moves, /*immediate=*/true);
-          break;
-        }
-        case cluster::MembershipAction::kDegrade:
-          // Gray failure: membership is untouched — only the latency the
-          // server reports can tell the tuner something is wrong.
-          cluster.degrade_server(event.server, event.factor);
-          break;
-        case cluster::MembershipAction::kRestore:
-          cluster.restore_server(event.server);
-          break;
-      }
-    });
-  }
+      });
 
-  sim.run_until(horizon);
+  sim.run_until(plane.horizon);
   tuner.stop();
 
-  ExperimentResult result;
-  result.server_count = cluster.server_count();
-  result.horizon = horizon;
-  result.aggregate = latency.aggregate();
-  result.steady_state = steady_state;
-  result.latency_histogram = histogram;
-  result.per_server.reserve(cluster.server_count());
-  result.served.reserve(cluster.server_count());
-  result.latency_over_time.reserve(cluster.server_count());
-  result.utilization.reserve(cluster.server_count());
-  for (std::uint32_t s = 0; s < cluster.server_count(); ++s) {
-    const auto id = ServerId(s);
-    result.per_server.push_back(latency.server_stats(id));
-    result.served.push_back(latency.served(id));
-    result.latency_over_time.push_back(
-        latency.server_series(id).windowed_mean(config.series_window,
-                                                horizon));
-    result.utilization.push_back(cluster.server(id).utilization(horizon));
-  }
+  ExperimentResult result = plane.result(config.series_window);
   result.shares_over_time = std::move(share_samples);
-  result.movement = movement.rounds();
-  result.total_moved = movement.total_moved();
-  result.unique_moved = movement.unique_moved();
-  result.percent_workload_moved = movement.percent_workload_moved();
-  result.percent_unique_workload_moved =
-      movement.percent_unique_workload_moved();
   result.shared_state_bytes = balancer.shared_state_bytes();
-  result.requests_issued = issued;
-  result.requests_completed = latency.total_served();
-  result.events_executed = sim.events_executed();
-  result.queue = sim.queue_stats();
   result.tuning_rounds = rounds;
   result.balance.strategy = std::string(balancer.name());
   result.balance.per_request = per_request;

@@ -14,6 +14,11 @@
 //   * sheds hand queued requests over when the shedding node learns of the
 //     new map, not at a global instant.
 //
+// The data plane — simulator, queueing cluster, trackers, arrival cursor,
+// completion accounting, gray failures — is the same driver::DataPlane
+// run_experiment uses (driver/data_plane.h); this driver adds only the
+// network, the protocol nodes and contact-node dispatch.
+//
 // bench/micro_protocol and tests use this to validate that the cheap
 // `ExperimentConfig::control_delay` abstraction in run_experiment matches
 // the real protocol's behaviour.

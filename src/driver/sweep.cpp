@@ -4,11 +4,6 @@
 
 namespace anu::driver {
 
-void run_parallel(const std::vector<std::function<void()>>& jobs,
-                  std::size_t threads) {
-  ThreadPool::global().run_batch(jobs, threads);
-}
-
 void run_indexed(std::size_t count,
                  const std::function<void(std::size_t)>& fn,
                  std::size_t threads) {

@@ -19,16 +19,11 @@
 
 namespace anu::driver {
 
-/// Runs jobs[0..n) with at most `threads`-way parallelism (0 = all cores);
-/// blocks until all finish. Each job must be independent (no shared mutable
-/// state between jobs). If a job throws, unstarted jobs are abandoned and
-/// the first exception is rethrown on the calling thread after the batch
-/// drains. threads == 1 runs inline, in index order.
-void run_parallel(const std::vector<std::function<void()>>& jobs,
-                  std::size_t threads = 0);
-
-/// Runs fn(0..count) under the same contract, without materializing a job
-/// list. `fn` must be safe to call concurrently on distinct indices.
+/// Runs fn(0..count) with at most `threads`-way parallelism (0 = all
+/// cores); blocks until all finish. Each call must be independent (no
+/// shared mutable state between indices). If a call throws, unstarted
+/// indices are abandoned and the first exception is rethrown on the calling
+/// thread after the batch drains. threads == 1 runs inline, in index order.
 void run_indexed(std::size_t count, const std::function<void(std::size_t)>& fn,
                  std::size_t threads = 0);
 

@@ -153,14 +153,9 @@ bool ProtocolCluster::replicas_agree() const {
   return true;
 }
 
-ServerId ProtocolCluster::route_on(const core::RegionMap& map,
-                                   std::string_view name) const {
-  return core::locate(map, family_, name).server;
-}
-
 ServerId ProtocolCluster::route_from(std::uint32_t server,
                                      std::string_view name) const {
-  return route_on(map_of(server), name);
+  return core::locate(map_of(server), family_, name).server;
 }
 
 std::uint64_t ProtocolCluster::shed_notices_received(
@@ -380,9 +375,11 @@ void ProtocolCluster::apply_update(std::uint32_t self,
   // now belong elsewhere get announced to their acquirers (§4).
   std::uint32_t sheds = 0;
   for (std::uint32_t fs = 0; fs < file_sets_.size(); ++fs) {
-    const ServerId before = route_on(previous, file_sets_[fs]);
+    const ServerId before =
+        core::locate(previous, family_, file_sets_[fs]).server;
     if (before != ServerId(self)) continue;
-    const ServerId after = route_on(node.map, file_sets_[fs]);
+    const ServerId after =
+        core::locate(node.map, family_, file_sets_[fs]).server;
     if (after == before) continue;
     ShedNotice notice;
     notice.file_set = fs;

@@ -190,8 +190,6 @@ class ProtocolCluster {
   void delegate_collect(std::uint32_t self, const LatencyReport& report);
   void delegate_tune(std::uint32_t self);
   void apply_update(std::uint32_t self, const RegionMapUpdate& update);
-  [[nodiscard]] ServerId route_on(const core::RegionMap& map,
-                                  std::string_view name) const;
 
   /// Stamps the message with self's next sequence number and sends it with
   /// ack/retransmit tracking.

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <string>
 #include <vector>
@@ -268,11 +269,14 @@ TEST(AnuBalancerTwoChoice, CandidatesAreDistinctServers) {
   AnuBalancer bal(AnuConfig{}, 5);
   bal.register_file_sets(make_file_sets(1));
   for (int i = 0; i < 200; ++i) {
-    const auto pair = bal.candidates("cand/" + std::to_string(i));
-    ASSERT_TRUE(pair.first.server.valid());
-    if (pair.second.server.valid()) {
-      EXPECT_NE(pair.first.server, pair.second.server);
-      EXPECT_GT(pair.second.probes, pair.first.probes);
+    const auto pair = bal.candidate_set("cand/" + std::to_string(i), 2);
+    ASSERT_FALSE(pair.empty());
+    ASSERT_LE(pair.size(), 2u);
+    ASSERT_TRUE(pair[0].server.valid());
+    if (pair.size() == 2) {
+      EXPECT_TRUE(pair[1].server.valid());
+      EXPECT_NE(pair[0].server, pair[1].server);
+      EXPECT_GT(pair[1].probes, pair[0].probes);
     }
   }
 }
@@ -280,9 +284,9 @@ TEST(AnuBalancerTwoChoice, CandidatesAreDistinctServers) {
 TEST(AnuBalancerTwoChoice, SecondChoiceInvalidWithOneServer) {
   AnuBalancer bal(AnuConfig{}, 1);
   bal.register_file_sets(make_file_sets(1));
-  const auto pair = bal.candidates("solo");
-  EXPECT_TRUE(pair.first.server.valid());
-  EXPECT_FALSE(pair.second.server.valid());
+  const auto pair = bal.candidate_set("solo", 2);
+  ASSERT_EQ(pair.size(), 1u);
+  EXPECT_TRUE(pair[0].server.valid());
 }
 
 TEST(AnuBalancerTwoChoice, PlacementUsesOneOfTheCandidates) {
@@ -292,10 +296,11 @@ TEST(AnuBalancerTwoChoice, PlacementUsesOneOfTheCandidates) {
   const auto fs = make_file_sets(50);
   bal.register_file_sets(fs);
   for (const auto& f : fs) {
-    const auto pair = bal.candidates(f.name);
+    const auto pair = bal.candidate_set(f.name, 2);
     const ServerId placed = bal.server_for(f.id);
-    EXPECT_TRUE(placed == pair.first.server ||
-                placed == pair.second.server);
+    EXPECT_TRUE(std::any_of(pair.begin(), pair.end(), [&](const auto& c) {
+      return c.server == placed;
+    }));
   }
 }
 

@@ -17,21 +17,17 @@ namespace {
 
 TEST(Sweep, RunsAllJobs) {
   std::atomic<int> counter{0};
-  std::vector<std::function<void()>> jobs;
-  for (int i = 0; i < 50; ++i) jobs.push_back([&] { ++counter; });
-  run_parallel(jobs, 4);
+  run_indexed(50, [&](std::size_t) { ++counter; }, 4);
   EXPECT_EQ(counter.load(), 50);
 }
 
 TEST(Sweep, EmptyJobListIsNoop) {
-  run_parallel({}, 4);  // must not hang or crash
+  run_indexed(0, [](std::size_t) {}, 4);  // must not hang or crash
 }
 
 TEST(Sweep, SingleThreadFallback) {
   int counter = 0;  // non-atomic: safe because threads == 1
-  std::vector<std::function<void()>> jobs;
-  for (int i = 0; i < 10; ++i) jobs.push_back([&] { ++counter; });
-  run_parallel(jobs, 1);
+  run_indexed(10, [&](std::size_t) { ++counter; }, 1);
   EXPECT_EQ(counter, 10);
 }
 
@@ -47,8 +43,7 @@ TEST(Sweep, ParallelMapPreservesOrder) {
 
 TEST(Sweep, MoreThreadsThanJobs) {
   std::atomic<int> counter{0};
-  std::vector<std::function<void()>> jobs{[&] { ++counter; }};
-  run_parallel(jobs, 16);
+  run_indexed(1, [&](std::size_t) { ++counter; }, 16);
   EXPECT_EQ(counter.load(), 1);
 }
 
@@ -56,13 +51,10 @@ TEST(Sweep, MoreThreadsThanJobs) {
 // thread boundary and call std::terminate. It must instead surface on the
 // calling thread, after every worker has joined.
 TEST(Sweep, ThrowingJobRethrowsOnCaller) {
-  std::vector<std::function<void()>> jobs;
-  for (int i = 0; i < 32; ++i) {
-    jobs.push_back([i] {
-      if (i == 7) throw std::runtime_error("job 7 failed");
-    });
-  }
-  EXPECT_THROW(run_parallel(jobs, 4), std::runtime_error);
+  const auto job = [](std::size_t i) {
+    if (i == 7) throw std::runtime_error("job 7 failed");
+  };
+  EXPECT_THROW(run_indexed(32, job, 4), std::runtime_error);
 }
 
 TEST(Sweep, ThrowingJobAbandonsUnstartedJobs) {
@@ -79,24 +71,20 @@ TEST(Sweep, ThrowingJobAbandonsUnstartedJobs) {
   std::atomic<bool> thrown{false};
   std::atomic<std::size_t> ran{0};
   std::atomic<std::size_t> started_before_throw{0};
-  std::vector<std::function<void()>> jobs;
-  jobs.push_back([&] {
+  const auto job = [&](std::size_t i) {
     ++ran;
-    thrown = true;
-    throw std::logic_error("poison");
-  });
-  for (std::size_t i = 1; i < kJobs; ++i) {
-    jobs.push_back([&] {
-      ++ran;
-      if (thrown) return;
-      ++started_before_throw;
-      while (!thrown && std::chrono::steady_clock::now() < deadline) {
-        std::this_thread::yield();
-      }
-    });
-  }
+    if (i == 0) {
+      thrown = true;
+      throw std::logic_error("poison");
+    }
+    if (thrown) return;
+    ++started_before_throw;
+    while (!thrown && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+  };
   const std::uint64_t abandoned_before = ThreadPool::global().stats().abandoned;
-  EXPECT_THROW(run_parallel(jobs, parallelism), std::logic_error);
+  EXPECT_THROW(run_indexed(kJobs, job, parallelism), std::logic_error);
   const std::uint64_t abandoned =
       ThreadPool::global().stats().abandoned - abandoned_before;
   EXPECT_LE(started_before_throw.load(), parallelism - 1);
@@ -106,17 +94,13 @@ TEST(Sweep, ThrowingJobAbandonsUnstartedJobs) {
 
 TEST(Sweep, FirstExceptionWinsWhenSeveralThrow) {
   // All jobs throw; exactly one exception must come back (and not crash).
-  std::vector<std::function<void()>> jobs;
-  for (int i = 0; i < 16; ++i) {
-    jobs.push_back([] { throw std::runtime_error("boom"); });
-  }
-  EXPECT_THROW(run_parallel(jobs, 8), std::runtime_error);
+  const auto job = [](std::size_t) { throw std::runtime_error("boom"); };
+  EXPECT_THROW(run_indexed(16, job, 8), std::runtime_error);
 }
 
 TEST(Sweep, SingleThreadPathAlsoPropagates) {
-  std::vector<std::function<void()>> jobs{
-      [] { throw std::runtime_error("solo"); }};
-  EXPECT_THROW(run_parallel(jobs, 1), std::runtime_error);
+  const auto job = [](std::size_t) { throw std::runtime_error("solo"); };
+  EXPECT_THROW(run_indexed(1, job, 1), std::runtime_error);
 }
 
 }  // namespace

@@ -20,7 +20,7 @@ src/proto, src/balance, src/driver):
   ptr-key-container std::map/std::set keyed by pointer — ordered by
                    allocator-assigned addresses, i.e. by ASLR.
   pool-order       direct common/thread_pool use — result-affecting code
-                   must go through driver::run_parallel/run_indexed, whose
+                   must go through driver::run_indexed/parallel_map, whose
                    pre-sized-slot contract makes results independent of
                    completion order.
 
@@ -265,7 +265,7 @@ def lint_source_file(path: Path, skip_rules: frozenset[str] = frozenset()
                         lineno,
                         "pool-order",
                         "direct thread-pool use in result-affecting code "
-                        "(go through driver::run_parallel/run_indexed)",
+                        "(go through driver::run_indexed/parallel_map)",
                     )
                 )
 

@@ -41,7 +41,8 @@ struct BalancerConfig {
   /// Relative dead band around the system average latency.
   double dead_band = 1.0;
   /// Seed of the hash family mapping keys to the unit interval. All
-  /// replicas of one cluster must agree on it.
+  /// replicas of one cluster must agree on it; the default is the one the
+  /// simulator and anu_serve use (libanu checks this at compile time).
   std::uint64_t hash_seed = 0x616e755f68617368ULL;
 };
 

@@ -41,45 +41,6 @@ double RunningStats::variance() const {
 
 double RunningStats::stddev() const { return std::sqrt(variance()); }
 
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(buckets)) {
-  ANU_REQUIRE(hi > lo);
-  ANU_REQUIRE(buckets > 0);
-  counts_.assign(buckets + 1, 0);  // +1 overflow
-}
-
-void Histogram::add(double x) {
-  std::size_t idx;
-  if (x < lo_) {
-    idx = 0;
-  } else if (x >= hi_) {
-    idx = counts_.size() - 1;
-  } else {
-    idx = static_cast<std::size_t>((x - lo_) / width_);
-    idx = std::min(idx, counts_.size() - 2);
-  }
-  ++counts_[idx];
-  ++total_;
-}
-
-double Histogram::quantile(double q) const {
-  ANU_REQUIRE(q >= 0.0 && q <= 1.0);
-  if (total_ == 0) return 0.0;
-  const double target = q * static_cast<double>(total_);
-  double cum = 0.0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const double next = cum + static_cast<double>(counts_[i]);
-    if (next >= target) {
-      if (i == counts_.size() - 1) return hi_;  // overflow bucket
-      const double frac =
-          counts_[i] ? (target - cum) / static_cast<double>(counts_[i]) : 0.0;
-      return lo_ + (static_cast<double>(i) + frac) * width_;
-    }
-    cum = next;
-  }
-  return hi_;
-}
-
 LogHistogram::LogHistogram(double min_value, double max_value,
                            std::size_t buckets_per_decade)
     : log_min_(std::log10(min_value)),

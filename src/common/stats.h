@@ -33,27 +33,6 @@ class RunningStats {
   double max_ = -std::numeric_limits<double>::infinity();
 };
 
-/// Fixed-bucket linear histogram with overflow bucket; supports quantile
-/// estimation good enough for latency reporting.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  void add(double x);
-  [[nodiscard]] std::size_t count() const { return total_; }
-  [[nodiscard]] std::size_t bucket_count() const { return counts_.size(); }
-  [[nodiscard]] std::size_t bucket(std::size_t i) const { return counts_[i]; }
-  /// Linear-interpolated quantile, q in [0, 1].
-  [[nodiscard]] double quantile(double q) const;
-
- private:
-  double lo_;
-  double hi_;
-  double width_;
-  std::vector<std::size_t> counts_;  // last bucket holds >= hi overflow
-  std::size_t total_ = 0;
-};
-
 /// Logarithmically-bucketed histogram for long-tailed positive values
 /// (latencies spanning milliseconds to hours). Relative quantile error is
 /// bounded by the per-decade resolution; O(1) add, O(buckets) quantile.

@@ -1,32 +1,28 @@
-// Persistent work-stealing thread pool.
+// Persistent thread pool with one scheduler: a per-batch job cursor.
 //
 // One pool of workers lives for the process (ThreadPool::global()), so a
-// 200-seed sweep does not pay thread creation per run_indexed call the way
-// the old spawn-per-batch scheme did. Scheduling is two-level:
+// 200-seed sweep does not pay thread creation per run_indexed call. The
+// workers wait on one mutex-guarded queue of helper requests. A
+// run_indexed batch of P participants posts P-1 requests and then works
+// on the batch itself; every participant, caller included, claims the next
+// index from one atomic cursor until the cursor passes the end. Because
+// the caller always participates, a batch completes even when every pool
+// worker is busy with other batches, which is what makes nested
+// run_indexed calls (a job that itself fans out) deadlock-free. Helper
+// requests that reach a worker after their batch drained find the cursor
+// closed and return.
 //
-//   * Pool level: each worker owns a deque of submitted tasks. A worker
-//     pops from the back of its own deque (newest first, cache-warm),
-//     steals the front half of the richest other deque when its own runs
-//     dry (steal-half amortizes the steal lock across many tasks), and
-//     parks on a condition variable when the whole pool is empty.
-//   * Batch level: run_indexed shards its indices round-robin across one
-//     index-deque per participant. The calling thread is always
-//     participant 0 and executes jobs itself, so a batch completes even if
-//     every pool worker is busy with other batches — which is what makes
-//     nested run_indexed calls (a job that itself fans out) deadlock-free by
-//     construction. A participant runs its own shard in index order and,
-//     once it is empty, steals the back half of the richest sibling shard.
+// Exception handling: the first job that throws closes the cursor by
+// exchanging it to the batch size. A job is therefore abandoned when it
+// had not been claimed by the time the failing job's exception reached the
+// pool. The jobs that ran are exactly a prefix [0, k) of the batch, and the
+// abandoned suffix is counted once in StatsSnapshot::abandoned. The first
+// exception is rethrown on the calling thread after the batch drains.
 //
-// Exception handling aggregates: every throwing job is counted, the first
-// exception is kept and rethrown on the calling thread after the batch
-// drains (remaining jobs are abandoned, never half-run, and counted in
-// StatsSnapshot::abandoned). Shards run front to back, so when job 0 throws
-// while the other participants are busy in their own first jobs, every job
-// not yet started is abandoned. Determinism is the
-// caller's contract: jobs must not share mutable state, so results are a
-// pure function of the job list, independent of the parallelism level —
-// see driver::run_indexed and the (base_seed, task_index) RNG substream
-// convention in common/rng.h.
+// Determinism is the caller's contract: jobs must not share mutable state,
+// so results are a pure function of the job list, independent of the
+// parallelism level — see driver::run_indexed and the (base_seed,
+// task_index) RNG substream convention in common/rng.h.
 //
 // Locking discipline is machine-checked: guarded members carry
 // ANU_GUARDED_BY and the clang CI legs compile with -Wthread-safety
@@ -37,6 +33,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <thread>
@@ -48,22 +45,15 @@ namespace anu {
 
 class ThreadPool {
  public:
-  using Task = std::function<void()>;
-
-  /// Monotonic scheduling counters, readable while the pool runs. Counters
-  /// are advisory (relaxed atomics): totals are exact once the pool is
-  /// quiescent, transient reads may lag individual workers. Never feed
-  /// them into experiment results — scheduling is timing-dependent by
-  /// nature (tools/anu_lint.py bans completion-order dependence).
+  /// Advisory counters, readable while the pool runs. Never feed them into
+  /// experiment results — scheduling is timing-dependent by nature
+  /// (tools/anu_lint.py bans completion-order dependence).
   struct StatsSnapshot {
-    std::uint64_t tasks_executed = 0;  // pool-level tasks run to completion
-    std::uint64_t steals = 0;          // successful steal-half raids
-    std::uint64_t parks = 0;           // times a worker went to sleep
-    std::uint64_t abandoned = 0;       // batch jobs skipped after a throw
+    std::uint64_t abandoned = 0;  // batch jobs skipped after a throw
   };
 
-  /// Spawns `workers` threads (0 = hardware concurrency). Workers park
-  /// when idle; an idle pool costs no CPU.
+  /// Spawns `workers` threads (0 = hardware concurrency). Idle workers
+  /// sleep on a condition variable; an idle pool costs no CPU.
   explicit ThreadPool(std::size_t workers = 0);
   ~ThreadPool();
 
@@ -73,52 +63,38 @@ class ThreadPool {
   /// The process-wide pool, created on first use.
   [[nodiscard]] static ThreadPool& global();
 
-  [[nodiscard]] std::size_t worker_count() const { return workers_.size(); }
+  [[nodiscard]] std::size_t worker_count() const { return threads_.size(); }
 
   [[nodiscard]] StatsSnapshot stats() const;
-
-  /// Fire-and-forget: enqueues one task. From a pool worker it lands on
-  /// that worker's own deque; from outside, round-robin across workers.
-  void submit(Task task);
 
   /// Runs fn(0..count) across at most `parallelism` threads (the caller
   /// plus parallelism-1 pool workers; 0 = caller + all workers) and blocks
   /// until every index has run or been abandoned. If any call throws, the
   /// first exception is rethrown here after the batch drains; jobs not yet
-  /// started by then are abandoned. parallelism == 1 runs inline, in index
-  /// order. Safe to call from inside a pool task (nested batches cannot
-  /// deadlock: the nested caller executes its own jobs).
+  /// claimed when the failing job's exception reached the pool are
+  /// abandoned. parallelism == 1 runs inline, in index order. Safe to call
+  /// from inside a batch job (nested batches cannot deadlock: the nested
+  /// caller executes its own jobs).
   void run_indexed(std::size_t count,
                    const std::function<void(std::size_t)>& fn,
                    std::size_t parallelism = 0);
 
  private:
-  struct Worker;
-  struct BatchState;
+  struct Batch;
 
-  void worker_loop(std::size_t self);
-  [[nodiscard]] bool take_task(std::size_t self, Task& out);
-  static void participate(const std::shared_ptr<BatchState>& batch,
-                          std::size_t slot);
+  void worker_loop();
+  /// Claims and runs indices of `batch` until its cursor passes the end.
+  void work_on(Batch& batch);
 
-  // Immutable after construction (worker threads only read them), so not
-  // guarded by any mutex.
-  std::vector<std::unique_ptr<Worker>> workers_;
+  // Immutable after construction.
   std::vector<std::thread> threads_;
 
-  Mutex park_mutex_;
-  CondVar park_cv_;  // signalled under park_mutex_
-  // stop_/pending_ are atomics readable without the mutex, but every write
-  // that must wake a parked worker happens under park_mutex_ so it cannot
-  // slip between a worker's predicate check and its wait.
-  std::atomic<bool> stop_{false};
-  std::atomic<std::size_t> pending_{0};      // submitted, not yet claimed
-  std::atomic<std::size_t> next_worker_{0};  // external-submit round robin
+  Mutex mutex_;
+  CondVar wake_;  // signalled on a new request and on stop
+  // One entry per requested helper; a worker pops one and works on it.
+  std::deque<std::shared_ptr<Batch>> requests_ ANU_GUARDED_BY(mutex_);
+  bool stop_ ANU_GUARDED_BY(mutex_) = false;
 
-  // Stats (advisory, relaxed — see StatsSnapshot).
-  std::atomic<std::uint64_t> tasks_executed_{0};
-  std::atomic<std::uint64_t> steals_{0};
-  std::atomic<std::uint64_t> parks_{0};
   std::atomic<std::uint64_t> abandoned_{0};
 };
 

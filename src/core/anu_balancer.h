@@ -31,7 +31,7 @@ namespace anu::core {
 
 struct AnuConfig {
   TunerConfig tuner;
-  std::uint64_t hash_seed = 0x616e755f68617368ULL;
+  std::uint64_t hash_seed = HashFamily::kDefaultSeed;
   /// Re-hash budget of locate(): always kMaxProbeRounds, not settable.
   static constexpr std::uint32_t max_probe_rounds = kMaxProbeRounds;
   /// Placement choices per file set (1..8). 1 = first mapped probe wins

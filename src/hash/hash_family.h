@@ -26,9 +26,14 @@ namespace anu {
 /// Family of hash functions over file-set names.
 class HashFamily {
  public:
+  /// The seed of the file-set -> unit-interval family every replica of an
+  /// ANU cluster uses unless configured otherwise ("anu_hash" in ASCII).
+  /// include/anu/anu.h repeats the literal; libanu.cpp asserts they agree.
+  static constexpr std::uint64_t kDefaultSeed = 0x616e755f68617368ULL;
+
   /// `family_seed` distinguishes independent families (e.g. the file-set ->
   /// unit-interval family vs. the file-set -> virtual-processor family).
-  explicit HashFamily(std::uint64_t family_seed = 0x616e755f68617368ULL);
+  explicit HashFamily(std::uint64_t family_seed = kDefaultSeed);
 
   /// H_round(name) as a raw 64-bit value.
   [[nodiscard]] std::uint64_t raw(std::string_view name,

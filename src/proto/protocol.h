@@ -77,7 +77,7 @@ struct ProtocolConfig {
   /// whatever reports arrived.
   double report_grace = 0.5;
   core::TunerConfig tuner;
-  std::uint64_t hash_seed = 0x616e755f68617368ULL;
+  std::uint64_t hash_seed = HashFamily::kDefaultSeed;
   /// Membership source. false: an oracle membership service (every node
   /// instantly knows who is up — the default, and what the §4 prose
   /// presumes). true: emergent heartbeat detection — nodes beacon every

@@ -9,8 +9,12 @@
 
 #include "common/assert.h"
 #include "core/decision.h"
+#include "hash/hash_family.h"
 
 namespace anu {
+
+static_assert(BalancerConfig{}.hash_seed == HashFamily::kDefaultSeed,
+              "libanu and the internal replicas must share one hash seed");
 
 struct Balancer::Impl {
   core::TunerConfig tuner;

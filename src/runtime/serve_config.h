@@ -23,6 +23,8 @@
 #include <string>
 #include <vector>
 
+#include "hash/hash_family.h"
+
 namespace anu::runtime {
 
 struct ServeSpec {
@@ -36,7 +38,7 @@ struct ServeSpec {
   /// Synthetic data-plane: server s's observed latency is proportional to
   /// slow_factors[s]. Sized to `servers` (missing entries default to 1).
   std::vector<double> slow_factors;
-  std::uint64_t hash_seed = 0x616e755f68617368ULL;
+  std::uint64_t hash_seed = HashFamily::kDefaultSeed;
 };
 
 struct ServeConfigError {

@@ -4,5 +4,5 @@
 #include "common/thread_pool.h"
 
 void bad_fanout() {
-  anu::ThreadPool::global().submit([] {});
+  anu::ThreadPool::global().run_indexed(2, [](std::size_t) {});
 }

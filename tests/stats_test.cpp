@@ -75,29 +75,6 @@ TEST(RunningStats, StableOnShiftedData) {
   EXPECT_NEAR(s.variance(), 0.25, 1e-6);
 }
 
-TEST(Histogram, CountsAndQuantiles) {
-  Histogram h(0.0, 10.0, 10);
-  for (int i = 0; i < 100; ++i) h.add(static_cast<double>(i % 10) + 0.5);
-  EXPECT_EQ(h.count(), 100u);
-  EXPECT_NEAR(h.quantile(0.5), 5.0, 1.0);
-  EXPECT_NEAR(h.quantile(0.0), 0.0, 1.0);
-  EXPECT_NEAR(h.quantile(1.0), 10.0, 1.0);
-}
-
-TEST(Histogram, OverflowBucket) {
-  Histogram h(0.0, 1.0, 4);
-  h.add(100.0);
-  h.add(-5.0);  // clamps to first bucket
-  EXPECT_EQ(h.count(), 2u);
-  EXPECT_EQ(h.bucket(0), 1u);
-  EXPECT_EQ(h.bucket(h.bucket_count() - 1), 1u);
-}
-
-TEST(Histogram, EmptyQuantileIsZero) {
-  Histogram h(0.0, 1.0, 4);
-  EXPECT_EQ(h.quantile(0.5), 0.0);
-}
-
 TEST(TimeSeries, WindowedMeanBasic) {
   TimeSeries ts;
   ts.add(0.5, 2.0);

@@ -1,6 +1,8 @@
-// Tests for the persistent work-stealing pool: determinism at any
-// parallelism level, exception aggregation, nested-submit deadlock
-// regression, and a seeded stress soak (ctest label: pool).
+// Tests for the persistent pool and its per-batch job cursor: determinism
+// at any parallelism level, the structural parallelism cap, exception
+// aggregation, the nested-batch deadlock regression, and a seeded stress
+// soak (ctest label: pool). The abandonment contract is tested through
+// driver::run_indexed in sweep_test.cpp.
 #include "common/thread_pool.h"
 
 #include <gtest/gtest.h>
@@ -164,54 +166,9 @@ TEST(ThreadPool, GlobalPoolIsPersistent) {
   EXPECT_EQ(count.load(), 32);
 }
 
-TEST(ThreadPool, FireAndForgetSubmitRuns) {
-  std::atomic<int> ran{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 8; ++i) pool.submit([&] { ++ran; });
-    // Drain deterministically by running a batch behind the submissions:
-    // batch completion implies the pool processed its queues past them.
-    while (ran.load() < 8) std::this_thread::yield();
-  }
-  EXPECT_EQ(ran.load(), 8);
-}
-
-TEST(ThreadPool, StatsCountersAdvanceAndAreQuiescentExact) {
-  ThreadPool pool(4);
-  const ThreadPool::StatsSnapshot before = pool.stats();
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 64; ++i) pool.submit([&] { ++ran; });
-  // The counter trails the task body (a worker bumps it after the task
-  // returns), so wait on the counter itself; overshoot would still fail
-  // the exactness check below.
-  while (pool.stats().tasks_executed - before.tasks_executed < 64u) {
-    std::this_thread::yield();
-  }
-  const ThreadPool::StatsSnapshot after = pool.stats();
-  EXPECT_EQ(ran.load(), 64);
-  // Exactly the 64 pool-level tasks ran; steals/parks are schedule-
-  // dependent so only monotonicity is checkable.
-  EXPECT_EQ(after.tasks_executed - before.tasks_executed, 64u);
-  EXPECT_GE(after.steals, before.steals);
-  EXPECT_GE(after.parks, before.parks);
-}
-
-TEST(ThreadPool, StatsNeverFeedResults) {
-  // The batch path runs caller-side jobs too, so tasks_executed (pool-level
-  // only) must NOT be assumed to equal the job count — this pins the
-  // documented contract that stats are advisory scheduling telemetry.
-  ThreadPool pool(2);
-  const ThreadPool::StatsSnapshot before = pool.stats();
-  std::atomic<int> ran{0};
-  pool.run_indexed(100, [&](std::size_t) { ++ran; });
-  EXPECT_EQ(ran.load(), 100);
-  const ThreadPool::StatsSnapshot after = pool.stats();
-  EXPECT_LE(after.tasks_executed - before.tasks_executed, 100u);
-}
-
 // Seeded stress soak (label: pool): many waves of uneven task counts at
 // randomized parallelism, every wave validated against its sequential
-// twin, so the steal paths and pool-reuse churn are exercised hard but
+// twin, so cursor contention and pool-reuse churn are exercised hard but
 // reproducibly — one seed reproduces one schedule of waves.
 TEST(ThreadPoolStress, SeededWavesMatchSequential) {
   ThreadPool pool(8);

@@ -21,7 +21,7 @@
 //   --chaos-profile <p>    light | heavy | partition | degrade | mixed
 //                          (default mixed)
 //   --seeds <n>            batch mode: fan the experiment out across n
-//                          derived seeds on the work-stealing pool and
+//                          derived seeds on the thread pool and
 //                          report mean / 95% CI aggregates (docs/ci.md)
 //   --jobs <m>             batch parallelism cap (0 = all cores); never
 //                          affects results, only wall time

@@ -12,6 +12,7 @@
 // CI bench-smoke lane; the largest (10 240-server) configuration always
 // runs, so the smoke still covers the full scale span.
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <iostream>
@@ -43,6 +44,7 @@ int main(int argc, char** argv) {
               sizes.back(), short_mode ? " (short mode)" : "");
 
   std::uint64_t work_items = 0;
+  std::vector<double> mean_round_us;  // per size, for the slope below
   Table table({"servers", "partitions", "state_bytes", "mean_probes",
                "tune_round_us", "imbalance_after_rounds"});
   for (const std::size_t k : sizes) {
@@ -90,6 +92,7 @@ int main(int argc, char** argv) {
       lo = std::min(lo, norm);
       hi = std::max(hi, norm);
     }
+    mean_round_us.push_back(round_us / rounds);
     work_items += static_cast<std::uint64_t>(lookups) +
                   static_cast<std::uint64_t>(rounds) * k;
     table.add_row({std::to_string(k),
@@ -103,10 +106,19 @@ int main(int argc, char** argv) {
   table.print(std::cout);
   report.add_events(work_items);
 
+  // Log-log slope of the delegate round between the two largest sizes:
+  // 1.0 is linear in servers, 2.0 quadratic.
+  const std::size_t last = sizes.size() - 1;
+  const double slope =
+      std::log(mean_round_us[last] / mean_round_us[last - 1]) /
+      std::log(static_cast<double>(sizes[last]) /
+               static_cast<double>(sizes[last - 1]));
   bench::note("\nShape checks: state grows linearly in servers (partition");
   bench::note("table), probes stay ~2 regardless of scale (half-occupancy),");
-  bench::note("the delegate round grows near-linearly and stays sub-second");
-  bench::note("even at 10k servers, and the tuner still converges shares");
-  bench::note("toward capacity at every size.");
+  bench::note("and the tuner converges shares toward capacity at every size.");
+  bench::note("Delegate round: measured log-log slope of tune_round_us");
+  bench::note("from " + std::to_string(sizes[last - 1]) + " to " +
+              std::to_string(sizes[last]) + " servers = " +
+              format_double(slope, 2) + " (1.0 = linear).");
   return 0;
 }

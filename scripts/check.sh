@@ -104,7 +104,8 @@ tier_tidy() {
 }
 
 tier_asan() {
-  # Sanitizer pass: the whole suite again under ASan+UBSan. Some toolchains
+  # Sanitizer pass: the whole suite again under ASan+UBSan, then the live
+  # anu_serve integration test on the same build. Some toolchains
   # (or containers without the runtime libs) can't link it; skip with a
   # warning rather than failing the whole check — but keep the log so a
   # real build break is visible instead of silently discarded.
@@ -113,6 +114,8 @@ tier_asan() {
      && cmake --build build-asan >>"$log" 2>&1; then
     echo "=== ASan+UBSan test pass ==="
     ctest --test-dir build-asan --output-on-failure --timeout "$CTEST_TIMEOUT"
+    echo "=== ASan+UBSan anu_serve integration test ==="
+    UBSAN_OPTIONS=halt_on_error=1 ./scripts/integration_test.sh build-asan
   else
     echo "warning: ASan+UBSan build failed; skipping sanitizer pass" >&2
     echo "--- last 30 lines of $log ---" >&2

@@ -8,9 +8,9 @@
 //
 //   * sim::SimClock — the discrete-event simulator (src/sim), where time is
 //     simulated and a whole day of protocol traffic executes in microseconds;
-//   * runtime::RealtimeClock — a steady-clock + timer-wheel implementation
-//     (src/runtime) that fires the same callbacks against wall time, which
-//     is what `anu_serve` and any embedding application use.
+//   * runtime::RealtimeClock — the same event calendar paced by a steady
+//     clock (src/runtime), which fires the same callbacks against wall
+//     time; it is what `anu_serve` and any embedding application use.
 //
 // The contract both implementations honor (and tests/clock_parity_test.cpp
 // enforces): timers fire in (deadline, schedule-order) order — FIFO among

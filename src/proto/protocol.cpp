@@ -255,6 +255,13 @@ void ProtocolCluster::on_message(std::uint32_t self, std::uint32_t from,
   if (!node.up) return;
   // Any received message proves the sender was alive when it sent.
   if (config_.use_heartbeats) views_[self].heard_from(from, clock_.now());
+  // The transport vouches for `from`; a report speaking for another server
+  // is forged or corrupt. Drop it before it is acked or indexes the round's
+  // per-server report table.
+  if (const auto* report = std::get_if<LatencyReport>(&message);
+      report != nullptr && report->server != from) {
+    return;
+  }
   if (const auto* ack = std::get_if<Ack>(&message)) {
     const auto it = node.pending.find(ack->seq);
     if (it != node.pending.end()) {

@@ -48,8 +48,4 @@ std::size_t EventLoop::run_once(double max_wait) {
   return handled;
 }
 
-void EventLoop::run_until(const std::function<bool()>& done, double max_wait) {
-  while (!done()) run_once(max_wait);
-}
-
 }  // namespace anu::runtime

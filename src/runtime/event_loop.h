@@ -30,11 +30,6 @@ class EventLoop {
   /// timers fired plus fds dispatched.
   std::size_t run_once(double max_wait);
 
-  /// Runs until `done()` returns true (checked once per iteration).
-  void run_until(const std::function<bool()>& done, double max_wait = 0.05);
-
-  [[nodiscard]] RealtimeClock& clock() { return clock_; }
-
  private:
   RealtimeClock& clock_;
   std::vector<int> fds_;

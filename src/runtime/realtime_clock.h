@@ -1,48 +1,35 @@
-// anu::Clock against real time: a hashed timer wheel over a TimeSource.
+// anu::Clock against real time: the event kernel's calendar, paced by a
+// TimeSource.
 //
 // The decision core's behaviour must not depend on which clock drives it
-// (docs/runtime.md), so this clock reproduces the simulator's dispatch
-// semantics exactly:
+// (docs/runtime.md), so this clock does not dispatch timers itself. It owns
+// a sim::Simulation and schedules through a sim::SimClock over it — the
+// very (time, seq) calendar, slab and generation-checked handles that
+// experiments run on. Handles returned by schedule_at() belong to that
+// inner SimClock, so cancellation is the kernel's. What the adapter adds is
+// only what real time needs:
 //
-//   * timers fire in strict (deadline, schedule-order) order, one at a
-//     time — a callback that schedules a new timer at its own firing time
-//     sees it run after every earlier-scheduled due timer, just as the
-//     event kernel's (time, seq) calendar guarantees;
-//   * now() observed inside a callback is the firing timer's deadline, not
-//     the jittery instant the host thread got scheduled — so intervals
-//     computed from now() are exact and tuning rounds land on the same
-//     boundaries as in simulation;
-//   * cancellation is O(1), handle-safe after firing, and generation-
-//     checked against slot reuse — sim::EventHandle's contract.
+//   * now() outside a callback follows the source (never earlier than the
+//     calendar); inside one it is the firing timer's deadline, not the
+//     jittery instant the host thread got scheduled;
+//   * schedule_at() clamps a past deadline to now();
+//   * pump() runs the calendar up to now(), and next_deadline() peeks at
+//     it for the event loop's poll timeout.
 //
-// Structure: a slab of timers (free-list reuse, generation counters) plus a
-// hashed wheel of kSlots buckets at kTickSeconds granularity. A bucket only
-// ever holds entries of a single absolute tick (entries beyond one wheel
-// revolution wait in an overflow list and migrate in when the wheel wraps),
-// so advancing is: drain bucket, pick due timers in (deadline, seq) order,
-// fire. Single-threaded by design — pump() it from the owning event loop.
+// Single-threaded by design — pump() it from the owning event loop.
 #pragma once
 
-#include <cstdint>
-#include <vector>
+#include <cstddef>
 
 #include "common/clock.h"
 #include "runtime/time_source.h"
-
-namespace anu::obs {
-class TraceSink;
-}
+#include "sim/sim_clock.h"
+#include "sim/simulation.h"
 
 namespace anu::runtime {
 
 class RealtimeClock final : public anu::Clock {
  public:
-  /// Wheel geometry: 512 slots of 1 ms cover half a second per revolution;
-  /// protocol timers (heartbeats, RTOs, tuning ticks) mostly land within
-  /// one or two revolutions, the rest sit in the overflow list.
-  static constexpr double kTickSeconds = 1e-3;
-  static constexpr std::size_t kSlots = 512;
-
   explicit RealtimeClock(TimeSource& source) : source_(source) {}
 
   /// Inside a firing callback: that timer's deadline. Outside: the source's
@@ -52,61 +39,30 @@ class RealtimeClock final : public anu::Clock {
   /// Deadlines in the past are clamped to now() and fire at the next pump.
   anu::TimerHandle schedule_at(SimTime when, Action action) override;
 
-  [[nodiscard]] obs::TraceSink* trace() const override { return trace_; }
-  void set_trace(obs::TraceSink* trace) { trace_ = trace; }
+  /// The live runtime attaches no trace sink.
+  [[nodiscard]] obs::TraceSink* trace() const override { return nullptr; }
 
   /// Fires every timer whose deadline has been reached, in (deadline, seq)
   /// order; returns the number fired. Call from the event loop whenever it
   /// wakes up.
   std::size_t pump();
 
-  /// Earliest pending deadline, or a negative value when no timer is armed
-  /// — the event loop turns this into its poll timeout.
-  [[nodiscard]] SimTime next_deadline() const;
-
-  [[nodiscard]] std::size_t armed_count() const { return armed_; }
+  /// Earliest pending (non-cancelled) deadline, or a negative value when no
+  /// timer is armed — the event loop turns this into its poll timeout.
+  [[nodiscard]] SimTime next_deadline();
 
  private:
-  struct Timer {
-    SimTime deadline = 0.0;
-    std::uint64_t seq = 0;        // global schedule order, ties on deadline
-    std::uint64_t tick = 0;       // deadline / kTickSeconds, rounded down
-    std::uint32_t generation = 0; // bumped on free; stale handles miss
-    bool armed = false;
-    Action action;
-  };
-
-  /// A wheel-bucket (or overflow) entry; generation-checked against reuse.
-  struct Entry {
-    std::uint32_t slot = 0;
-    std::uint32_t generation = 0;
-  };
-
-  void cancel_timer(std::uint64_t a, std::uint64_t b) override;
-  [[nodiscard]] bool timer_cancelled(std::uint64_t a,
-                                     std::uint64_t b) const override;
-
-  [[nodiscard]] const Timer* live(const Entry& entry) const;
-  void place(std::uint32_t slot);
-  void free_slot(std::uint32_t slot);
-  /// Moves overflow entries whose tick now fits in [cursor, cursor+kSlots).
-  void migrate_overflow();
-  /// Fires due timers within one absolute tick's bucket; returns count.
-  std::size_t drain_tick(std::uint64_t tick, SimTime horizon);
+  // Never reached: every handle schedule_at() returns names calendar_.
+  void cancel_timer(std::uint64_t /*a*/, std::uint64_t /*b*/) override {}
+  [[nodiscard]] bool timer_cancelled(std::uint64_t /*a*/,
+                                     std::uint64_t /*b*/) const override {
+    return false;
+  }
 
   TimeSource& source_;
-  obs::TraceSink* trace_ = nullptr;
-
-  std::vector<Timer> slab_;
-  std::vector<std::uint32_t> free_;
-  std::vector<std::vector<Entry>> wheel_{kSlots};
-  std::vector<Entry> overflow_;
-  std::uint64_t cursor_ = 0;  // next unprocessed absolute tick
-  std::uint64_t next_seq_ = 1;
-  std::size_t armed_ = 0;
-
-  SimTime logical_now_ = 0.0;  // last fired deadline (or pump horizon)
-  bool firing_ = false;
+  sim::Simulation sim_;
+  sim::SimClock calendar_{sim_};
+  bool firing_ = false;  // true while pump() runs callbacks
 };
 
 }  // namespace anu::runtime

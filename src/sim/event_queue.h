@@ -15,9 +15,12 @@
 // and division, both monotone in `time`, so two events never land in
 // buckets that invert their time order; equal times always map to the same
 // bucket; and every bucket is fully sorted by (time, seq) before anything
-// is dequeued from it. The caller (Simulation) guarantees pushes are never
-// earlier than the last pop — the simulator cannot schedule in the past —
-// which is what lets consumed buckets be discarded.
+// is dequeued from it. The caller (Simulation) never pushes earlier than
+// its clock, but a push may be earlier than the last pop: peeking
+// (Simulation::next_event_time) pops cancelled heads that lie ahead of the
+// clock. Such a push maps to an already-consumed bucket on every rung, so
+// push_ladder routes it into the sorted bottom list (insert_bottom) — which
+// is what lets consumed buckets be discarded all the same.
 #pragma once
 
 #include <algorithm>
@@ -53,9 +56,10 @@ struct LadderStats {
 class LadderQueue {
  public:
   /// Inserts an event. `seq` values must be unique; `time` must be
-  /// non-negative (simulation clocks start at zero); pushes must not be
-  /// earlier than the last pop (see the header comment). Inline fast path:
-  /// most pushes are at or beyond the current epoch and append to top.
+  /// non-negative (simulation clocks start at zero). Into a non-empty
+  /// queue, a push earlier than the last pop joins bottom (see the header
+  /// comment). Inline fast path: most pushes are at or beyond the current
+  /// epoch and append to top.
   void push(SimTime time, std::uint64_t seq, std::uint32_t slot) {
     time += 0.0;  // normalize -0.0: times compare as integer bit patterns
     ++size_;

@@ -104,6 +104,17 @@ std::uint64_t Simulation::run_to_completion() {
   return run_until(std::numeric_limits<SimTime>::infinity());
 }
 
+SimTime Simulation::next_event_time() {
+  while (!queue_.empty()) {
+    const EventKey key = queue_.min();
+    if (!slot_ref(key.slot).cancelled) return key.time;
+    queue_.drop_min();
+    ++cancelled_skipped_;
+    release_slot(key.slot);
+  }
+  return std::numeric_limits<SimTime>::infinity();
+}
+
 SimQueueStats Simulation::queue_stats() const {
   SimQueueStats stats;
   stats.scheduled = next_seq_;

@@ -122,6 +122,12 @@ class Simulation {
   /// Runs until the calendar is empty.
   std::uint64_t run_to_completion();
 
+  /// Time of the earliest pending event that will fire, or +infinity when
+  /// none is pending. Cancelled events at the head of the calendar are
+  /// discarded on the way (counted in cancelled_skipped, as run_until
+  /// would), so the answer is never a timer that will not fire.
+  [[nodiscard]] SimTime next_event_time();
+
   /// Requests that the run loop stop after the current event returns. A
   /// request made outside a run halts the next run_until before its first
   /// event (see run_until).

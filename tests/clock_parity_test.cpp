@@ -5,14 +5,25 @@
 // Both sides run identical clusters over the deterministic proto::Network
 // (same seeds, same latency model); the realtime side's clock reads a
 // ManualTimeSource that a test driver advances deadline-by-deadline — so
-// "wall time" is a script, and any divergence in dispatch order between
-// the event kernel's (time, seq) calendar and the timer wheel shows up as
-// differing map versions, partition tables, or routing answers.
+// "wall time" is a script, and any divergence between SimClock and the
+// RealtimeClock adapter (logical now, past-deadline clamping, pump and
+// peek over its own calendar) shows up as differing map versions,
+// partition tables, or routing answers.
+//
+// The last test checks the clock contract itself without the protocol:
+// seeded random scripts of schedules, cancels and child timers, with the
+// realtime side pumped at arbitrary late horizons rather than exactly at
+// deadlines, must fire the same (id, now()) sequence on both clocks.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/rng.h"
 #include "faults/fault_plan.h"
 #include "proto/network.h"
 #include "proto/protocol.h"
@@ -207,6 +218,158 @@ TEST(ClockParity, LossyNetworkRetransmitsIdentically) {
   EXPECT_EQ(sim_side.net.drops_injected(), real_side.net.drops_injected());
   // Loss actually happened — the parity above covered the retry machinery.
   EXPECT_GT(sim_side.net.drops_injected(), 0u);
+}
+
+// --- The clock contract on random timer scripts -----------------------------
+
+/// One clock under a random timer script, plus the bookkeeping that says
+/// which deadline must fire next. Timer ids are schedule order; a firing
+/// timer records (id, now()) and then, as a pure function of its id, may
+/// schedule children at now() + d and cancel another timer.
+class ScriptedClock {
+ public:
+  using Firing = std::pair<std::uint32_t, SimTime>;
+
+  /// `clamp_past`: clamp past deadlines before calling the clock, as the
+  /// simulator requires; the realtime clock is handed them raw.
+  ScriptedClock(anu::Clock& clock, bool clamp_past)
+      : clock_(clock), clamp_past_(clamp_past) {}
+  ScriptedClock(const ScriptedClock&) = delete;
+  ScriptedClock& operator=(const ScriptedClock&) = delete;
+
+  void schedule_at(SimTime when) {
+    const SimTime due = std::max(when, clock_.now());
+    const auto id = static_cast<std::uint32_t>(handles_.size());
+    deadlines_.push_back(due);
+    done_.push_back(false);
+    handles_.push_back(clock_.schedule_at(clamp_past_ ? due : when,
+                                          [this, id] { fire(id); }));
+  }
+
+  /// Cancels timer `index`; a no-op when it already fired or was cancelled.
+  void cancel(std::size_t index) {
+    handles_[index].cancel();
+    done_[index] = true;
+  }
+
+  /// Earliest deadline among timers neither fired nor cancelled, or -1.
+  [[nodiscard]] SimTime next_due() const {
+    SimTime best = -1.0;
+    for (std::size_t i = 0; i < deadlines_.size(); ++i) {
+      if (!done_[i] && (best < 0.0 || deadlines_[i] < best)) {
+        best = deadlines_[i];
+      }
+    }
+    return best;
+  }
+
+  [[nodiscard]] std::size_t size() const { return handles_.size(); }
+  [[nodiscard]] const std::vector<Firing>& fired() const { return fired_; }
+
+ private:
+  void fire(std::uint32_t id) {
+    done_[id] = true;
+    fired_.emplace_back(id, clock_.now());
+    const std::uint64_t h = mix64(id);
+    if ((h & 3) == 0) {  // child 0-4 ms out, often at now() itself
+      schedule_at(clock_.now() + static_cast<double>((h >> 8) % 5) * 1e-3);
+    }
+    if ((h & 12) == 4) {  // child up to ~25 s out
+      schedule_at(clock_.now() + static_cast<double>((h >> 16) & 255) * 0.1);
+    }
+    if ((h & 48) == 16) cancel((h >> 24) % handles_.size());
+  }
+
+  anu::Clock& clock_;
+  const bool clamp_past_;
+  std::vector<TimerHandle> handles_;
+  std::vector<SimTime> deadlines_;
+  std::vector<bool> done_;
+  std::vector<Firing> fired_;
+};
+
+/// Feeds one seeded script to a SimClock and a RealtimeClock. The
+/// simulator runs exactly to each horizon; the realtime clock's source
+/// jumps there and one pump() fires whatever is due — horizons fall on
+/// deadlines only by chance, as wake-ups of a real event loop do.
+void run_contract_script(std::uint64_t seed) {
+  Xoshiro256 rng(seed);
+  sim::Simulation sim;
+  sim::SimClock sim_clock(sim);
+  runtime::ManualTimeSource source;
+  runtime::RealtimeClock real_clock(source);
+  ScriptedClock sim_side(sim_clock, /*clamp_past=*/true);
+  ScriptedClock real_side(real_clock, /*clamp_past=*/false);
+
+  for (int step = 0; step < 200; ++step) {
+    const SimTime now = source.now();
+    const std::uint64_t schedules = rng.next_below(6);
+    for (std::uint64_t i = 0; i < schedules; ++i) {
+      SimTime when;
+      switch (rng.next_below(5)) {
+        case 0:
+          when = now;
+          break;
+        case 1:
+          when = now + rng.next_double() * 1e-3;
+          break;
+        case 2:  // whole seconds: ties, and sometimes the past
+          when = std::floor(now) + static_cast<double>(rng.next_below(4));
+          break;
+        case 3:
+          when = now + rng.next_double() * 100.0;
+          break;
+        default:  // in the past: clamped to now()
+          when = now - rng.next_double();
+          break;
+      }
+      sim_side.schedule_at(when);
+      real_side.schedule_at(when);
+    }
+    // Cancels over everything ever scheduled, stale handles included.
+    const std::uint64_t cancels = rng.next_below(3);
+    for (std::uint64_t i = 0; i < cancels && sim_side.size() > 0; ++i) {
+      const std::size_t pick = rng.next_below(sim_side.size());
+      sim_side.cancel(pick);
+      real_side.cancel(pick);
+    }
+    ASSERT_EQ(real_clock.next_deadline(), sim_side.next_due())
+        << "seed " << seed << " step " << step;
+
+    SimTime horizon;
+    switch (rng.next_below(4)) {
+      case 0:
+        horizon = now;
+        break;
+      case 1:
+        horizon = std::max(now, sim_side.next_due());
+        break;
+      case 2:
+        horizon = now + rng.next_double() * 1e-2;
+        break;
+      default:
+        horizon = now + rng.next_double() * 50.0;
+        break;
+    }
+    sim.run_until(horizon);
+    source.advance_to(horizon);
+    real_clock.pump();
+    ASSERT_EQ(real_side.fired(), sim_side.fired())
+        << "seed " << seed << " step " << step;
+    ASSERT_EQ(real_clock.now(), sim_clock.now())
+        << "seed " << seed << " step " << step;
+    ASSERT_EQ(real_clock.next_deadline(), real_side.next_due())
+        << "seed " << seed << " step " << step;
+  }
+  // The script exercised the clocks, not just an empty calendar.
+  EXPECT_GT(sim_side.fired().size(), 100u) << "seed " << seed;
+}
+
+TEST(ClockParity, RandomTimerScriptsFireIdentically) {
+  for (std::uint64_t seed = 0; seed < 32; ++seed) {
+    run_contract_script(seed);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
 }
 
 }  // namespace

@@ -4,8 +4,9 @@
 // FIFO at equal times — and the rest of the tree leans on it for seeded
 // reproducibility. These tests check the contract two ways: the LadderQueue
 // against a sort of the same keys, and the full Simulation (slab, handles,
-// cancellation, clock rules) against a deliberately naive reference model
-// that stores pending events in a flat vector and min-scans per dispatch.
+// cancellation, clock rules, next_event_time peeks) against a deliberately
+// naive reference model that stores pending events in a flat vector and
+// min-scans per dispatch.
 // Both run over randomized operation sequences across many seeds; any
 // divergence in fired order, clocks, or counters is a kernel bug.
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <vector>
 
 #include "common/rng.h"
@@ -166,15 +168,7 @@ class ModelSim {
   std::vector<std::pair<std::uint32_t, SimTime>> run_until(SimTime until) {
     std::vector<std::pair<std::uint32_t, SimTime>> fired;
     for (;;) {
-      std::size_t best = events_.size();
-      for (std::size_t i = 0; i < events_.size(); ++i) {
-        if (best == events_.size() ||
-            events_[i].time < events_[best].time ||
-            (events_[i].time == events_[best].time &&
-             events_[i].seq < events_[best].seq)) {
-          best = i;
-        }
-      }
+      const std::size_t best = head();
       if (best == events_.size()) break;
       if (events_[best].time > until) break;
       const ModelEvent ev = events_[best];
@@ -201,6 +195,30 @@ class ModelSim {
     return fired;
   }
 
+  /// Simulation::next_event_time(): the earliest non-cancelled time (or
+  /// +infinity), discarding cancelled events that sort ahead of it. The
+  /// latest discarded time is kept in last_discarded().
+  SimTime next_event_time() {
+    for (;;) {
+      const std::size_t best = head();
+      if (best == events_.size()) {
+        return std::numeric_limits<SimTime>::infinity();
+      }
+      if (!events_[best].cancelled) return events_[best].time;
+      last_discarded_ = events_[best].time;
+      events_.erase(events_.begin() + static_cast<std::ptrdiff_t>(best));
+      ++cancelled_skipped_;
+    }
+  }
+
+  /// Seq of the earliest pending event (cancelled or not), if any.
+  [[nodiscard]] std::optional<std::uint64_t> head_seq() const {
+    const std::size_t best = head();
+    if (best == events_.size()) return std::nullopt;
+    return events_[best].seq;
+  }
+
+  [[nodiscard]] SimTime last_discarded() const { return last_discarded_; }
   [[nodiscard]] SimTime now() const { return now_; }
   [[nodiscard]] std::size_t pending() const { return events_.size(); }
   [[nodiscard]] std::uint64_t executed() const { return executed_; }
@@ -209,11 +227,26 @@ class ModelSim {
   }
 
  private:
+  /// Index of the (time, seq)-minimal pending event, cancelled or not;
+  /// events_.size() when none is pending.
+  [[nodiscard]] std::size_t head() const {
+    std::size_t best = events_.size();
+    for (std::size_t i = 0; i < events_.size(); ++i) {
+      if (best == events_.size() || events_[i].time < events_[best].time ||
+          (events_[i].time == events_[best].time &&
+           events_[i].seq < events_[best].seq)) {
+        best = i;
+      }
+    }
+    return best;
+  }
+
   std::vector<ModelEvent> events_;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
   std::uint64_t cancelled_skipped_ = 0;
   SimTime now_ = 0.0;
+  SimTime last_discarded_ = -1.0;
 };
 
 /// Children an event spawns when it fires: a pure function of the parent
@@ -245,6 +278,9 @@ void run_differential_fuzz(std::uint64_t seed) {
   // Handles for cancellation, parallel arrays on both sides.
   std::vector<EventHandle> handles;
   std::vector<std::uint64_t> model_seqs;
+  // Every handle, roots and children, indexed by schedule order — which is
+  // the model's seq.
+  std::vector<EventHandle> by_seq;
 
   // In-callback behavior: record the firing, then schedule this id's
   // children. Children recurse through the same callback.
@@ -252,30 +288,62 @@ void run_differential_fuzz(std::uint64_t seed) {
   struct Recorder {
     Simulation& sim;
     std::vector<std::pair<std::uint32_t, SimTime>>& fired;
+    std::vector<EventHandle>& by_seq;
     void fire(std::uint32_t id) {
       fired.emplace_back(id, sim.now());
       for (const auto& [delay, child] : spawn_children(id)) {
         std::uint32_t c = child;
         Recorder self = *this;
-        sim.schedule_after(delay, [self, c]() mutable { self.fire(c); });
+        by_seq.push_back(
+            sim.schedule_after(delay, [self, c]() mutable { self.fire(c); }));
       }
     }
   };
-  Recorder recorder{sim, sim_fired};
+  Recorder recorder{sim, sim_fired, by_seq};
 
   // Root ids are small, so roots can cascade: children take id
   // parent*4 + k, and spawn_children stops the recursion once ids pass
   // 2^20 (about ten generations deep from these roots).
   std::uint32_t next_id = 1;
+  const auto schedule_root = [&](SimTime t) {
+    const std::uint32_t id = next_id++;
+    handles.push_back(sim.schedule_at(t, [&recorder, id] {
+      recorder.fire(id);
+    }));
+    by_seq.push_back(handles.back());
+    model_seqs.push_back(model.schedule(t, id));
+  };
   for (int phase = 0; phase < 12; ++phase) {
+    // Peek between runs, the way the realtime clock's event loop does.
+    // Cancelling the head first makes the peek discard it; the roots
+    // scheduled after the peek land between now() and the discarded time,
+    // i.e. earlier than a key the calendar has already popped.
+    const std::uint64_t peeks = rng.next_below(6);
+    for (std::uint64_t p = 0; p < peeks; ++p) {
+      if (const auto head = model.head_seq(); head && rng.next_below(4)) {
+        by_seq[*head].cancel();
+        model.cancel(*head);
+      }
+      const SimTime peeked = sim.next_event_time();
+      ASSERT_EQ(peeked, model.next_event_time()) << "seed " << seed;
+      ASSERT_EQ(sim.pending_events(), model.pending()) << "seed " << seed;
+      ASSERT_EQ(sim.queue_stats().cancelled_skipped,
+                model.cancelled_skipped())
+          << "seed " << seed;
+      const SimTime limit = model.last_discarded() > sim.now()
+                                ? model.last_discarded()
+                                : peeked;
+      const std::uint64_t early = rng.next_below(4);
+      for (std::uint64_t i = 0; i < early; ++i) {
+        schedule_root(std::isinf(limit)
+                          ? draw_time(rng, sim.now())
+                          : sim.now() + rng.next_double() *
+                                            (limit - sim.now()));
+      }
+    }
     const std::uint64_t roots = rng.next_below(200);
     for (std::uint64_t i = 0; i < roots; ++i) {
-      const SimTime t = draw_time(rng, sim.now());
-      const std::uint32_t id = next_id++;
-      handles.push_back(sim.schedule_at(t, [&recorder, id] {
-        recorder.fire(id);
-      }));
-      model_seqs.push_back(model.schedule(t, id));
+      schedule_root(draw_time(rng, sim.now()));
     }
     // Cancel a random sample of everything ever scheduled; stale handles
     // (already fired) must be harmless no-ops on both sides.

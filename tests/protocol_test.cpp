@@ -1,5 +1,6 @@
 // Tests for the control-protocol simulation: network model, report/update
-// flow, versioned replication, shed notices, delegate failover.
+// flow, versioned replication, shed notices, delegate failover, forged
+// reports.
 #include <gtest/gtest.h>
 
 #include "faults/fault_plan.h"
@@ -421,6 +422,60 @@ TEST(ProtocolHeartbeat, RecoveryRedetected) {
   EXPECT_TRUE(h.cluster.believed_up(0, 2));
   EXPECT_GT(h.cluster.map_of(0).share(ServerId(2)).raw(), 0u);
   EXPECT_TRUE(h.cluster.replicas_agree());
+}
+
+// --- forged latency reports -------------------------------------------------
+
+/// Runs round 1 (tick at 120 s) with node 1 sending the delegate, node 0,
+/// best-effort latency reports that claim to speak for the `claimed`
+/// servers. They land mid-interval: were one accepted, it would open round
+/// 1 early and the delegate would tune on forged numbers at the grace
+/// deadline.
+void run_round_with_forged_reports(ProtoHarness& h,
+                                   std::vector<std::uint32_t> claimed) {
+  h.clock.schedule_at(60.0, [&h, claimed] {
+    for (const std::uint32_t server : claimed) {
+      LatencyReport forged;
+      forged.server = server;
+      forged.round = 1;
+      forged.report = balance::ServerReport{1e3, 1};
+      h.net.send(1, 0, forged);
+    }
+  });
+  h.sim.run_until(130.0);
+}
+
+void expect_same_round(const ProtoHarness& clean, const ProtoHarness& forged,
+                       std::size_t servers) {
+  EXPECT_EQ(forged.cluster.updates_published(),
+            clean.cluster.updates_published());
+  for (std::uint32_t n = 0; n < servers; ++n) {
+    EXPECT_EQ(forged.cluster.version_of(n), clean.cluster.version_of(n))
+        << "node " << n;
+    EXPECT_EQ(forged.cluster.map_of(n).snapshot(),
+              clean.cluster.map_of(n).snapshot())
+        << "node " << n;
+  }
+}
+
+TEST(ForgedReport, SpoofedInRangeServerIsDropped) {
+  const std::vector<double> speeds{1.0, 3.0, 5.0, 7.0, 9.0};
+  ProtoHarness clean(5, speeds);
+  clean.sim.run_until(130.0);
+  ProtoHarness forged(5, speeds);
+  run_round_with_forged_reports(forged, {2, 3, 4});
+  expect_same_round(clean, forged, 5);
+}
+
+TEST(ForgedReport, OutOfRangeServerTouchesNoMemory) {
+  // server == N is one past the delegate's per-server report table (the
+  // sanitizer build catches a write there); 2^32-1 is far outside it.
+  const std::vector<double> speeds{1.0, 3.0, 5.0, 7.0, 9.0};
+  ProtoHarness clean(5, speeds);
+  clean.sim.run_until(130.0);
+  ProtoHarness forged(5, speeds);
+  run_round_with_forged_reports(forged, {5, 0xffffffffu});
+  expect_same_round(clean, forged, 5);
 }
 
 }  // namespace

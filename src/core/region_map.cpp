@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <utility>
 
 #include "common/assert.h"
 
@@ -68,85 +69,6 @@ std::vector<UnitSegment> RegionMap::segments_of(ServerId id) const {
   return segments;
 }
 
-std::optional<std::size_t> RegionMap::partial_of(std::uint32_t s) const {
-  for (std::size_t i = 0; i < partitions_.size(); ++i) {
-    const Partition& part = partitions_[i];
-    if (part.owner == ServerId(s) && part.occupied > 0 &&
-        part.occupied < psize_) {
-      return i;
-    }
-  }
-  return std::nullopt;
-}
-
-void RegionMap::release(std::uint32_t server, UnitPoint::raw_type amount,
-                        std::vector<std::size_t>& freed) {
-  ANU_REQUIRE(shares_[server] >= amount);
-  shares_[server] -= amount;
-  while (amount > 0) {
-    std::size_t victim;
-    if (auto partial = partial_of(server)) {
-      victim = *partial;
-    } else {
-      // No partial: convert the highest-index full partition.
-      victim = partitions_.size();
-      for (std::size_t i = partitions_.size(); i-- > 0;) {
-        if (partitions_[i].owner == ServerId(server)) {
-          victim = i;
-          break;
-        }
-      }
-      ANU_ENSURE(victim < partitions_.size());
-    }
-    Partition& part = partitions_[victim];
-    const UnitPoint::raw_type cut = std::min(part.occupied, amount);
-    part.occupied -= cut;
-    amount -= cut;
-    if (part.occupied == 0) {
-      part.owner = ServerId::invalid();
-      freed.push_back(victim);
-    }
-  }
-}
-
-void RegionMap::acquire(std::uint32_t server, UnitPoint::raw_type amount,
-                        std::vector<std::size_t>& free_order) {
-  shares_[server] += amount;
-  // Whole-partition claims first, preferentially from space released this
-  // round (free_order lists freed-this-round partitions before long-free
-  // ones): re-mapping just-released space keeps the cluster's mapped
-  // point-set stable, so only the shrinking servers' file sets re-hash —
-  // the paper's minimal-movement / locality-preservation property (§4).
-  auto claim_next = [&](UnitPoint::raw_type occupy) {
-    while (!free_order.empty() &&
-           partitions_[free_order.front()].owner.valid()) {
-      free_order.erase(free_order.begin());  // consumed by an earlier grower
-    }
-    ANU_ENSURE(!free_order.empty());  // free partition always exists
-    const std::size_t idx = free_order.front();
-    free_order.erase(free_order.begin());
-    partitions_[idx] = Partition{ServerId(server), occupy};
-  };
-  while (amount >= psize_) {
-    claim_next(psize_);
-    amount -= psize_;
-  }
-  // Sub-partition tail: top up the existing partial partition (contiguous
-  // prefix growth), then at most one fresh partial claim — preserving the
-  // at-most-one-partial invariant.
-  while (amount > 0) {
-    if (auto partial = partial_of(server)) {
-      Partition& part = partitions_[*partial];
-      const UnitPoint::raw_type fill = std::min(psize_ - part.occupied, amount);
-      part.occupied += fill;
-      amount -= fill;
-    } else {
-      claim_next(amount);
-      amount = 0;
-    }
-  }
-}
-
 void RegionMap::rebalance(const std::vector<UnitPoint::raw_type>& targets_raw) {
   ANU_REQUIRE(targets_raw.size() == shares_.size());
   const UnitPoint::raw_type total =
@@ -154,26 +76,75 @@ void RegionMap::rebalance(const std::vector<UnitPoint::raw_type>& targets_raw) {
                       UnitPoint::raw_type{0});
   ANU_REQUIRE(total == kHalfRaw);
 
-  // Shrink first so grown servers find free space, then grow. Partitions
-  // freed by the shrink phase head the growers' claim order (locality).
+  // One pass indexes the table: each server's partial partition (at most
+  // one, §4), its full partitions chained from the highest index down, and
+  // the partitions that are already free.
+  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> partial(shares_.size(), kNone);
+  std::vector<std::size_t> top_full(shares_.size(), kNone);
+  std::vector<std::size_t> next_full(partitions_.size(), kNone);
+  std::vector<std::size_t> long_free;
+  for (std::size_t i = 0; i < partitions_.size(); ++i) {
+    const Partition& part = partitions_[i];
+    if (!part.owner.valid()) {
+      long_free.push_back(i);
+    } else if (part.occupied < psize_) {
+      partial[part.owner.value()] = i;
+    } else {
+      next_full[i] = std::exchange(top_full[part.owner.value()], i);
+    }
+  }
+
+  // Shrink first so grown servers find free space. A shrinking server cuts
+  // its partial, then its highest-index full partitions.
   std::vector<std::size_t> free_order;
   for (std::uint32_t s = 0; s < shares_.size(); ++s) {
-    if (targets_raw[s] < shares_[s]) {
-      release(s, shares_[s] - targets_raw[s], free_order);
+    if (targets_raw[s] >= shares_[s]) continue;
+    for (UnitPoint::raw_type amount = shares_[s] - targets_raw[s]; amount > 0;) {
+      std::size_t victim = std::exchange(partial[s], kNone);
+      if (victim == kNone) {
+        victim = top_full[s];
+        ANU_ENSURE(victim != kNone);
+        top_full[s] = next_full[victim];
+      }
+      Partition& part = partitions_[victim];
+      const UnitPoint::raw_type cut = std::min(part.occupied, amount);
+      part.occupied -= cut;
+      amount -= cut;
+      if (part.occupied == 0) {
+        part.owner = ServerId::invalid();
+        free_order.push_back(victim);
+      }
     }
+    shares_[s] = targets_raw[s];
   }
+
+  // Grow. Whole-partition claims come first, from the space freed this round
+  // in index order, then from long-free space: re-mapping just-released
+  // space keeps the cluster's mapped point-set stable, so only the shrinking
+  // servers' file sets re-hash — the paper's minimal-movement /
+  // locality-preservation property (§4). The sub-partition tail tops up the
+  // grower's partial (contiguous prefix growth), then makes at most one
+  // fresh partial claim, preserving the at-most-one-partial invariant.
   std::sort(free_order.begin(), free_order.end());
-  for (std::size_t i = 0; i < partitions_.size(); ++i) {
-    if (!partitions_[i].owner.valid() &&
-        std::find(free_order.begin(), free_order.end(), i) ==
-            free_order.end()) {
-      free_order.push_back(i);  // long-free partitions, after freed ones
-    }
-  }
+  free_order.insert(free_order.end(), long_free.begin(), long_free.end());
+  std::size_t cursor = 0;
+  const auto claim = [&](std::uint32_t s, UnitPoint::raw_type occupy) {
+    ANU_ENSURE(cursor < free_order.size());  // free partition always exists
+    partitions_[free_order[cursor++]] = Partition{ServerId(s), occupy};
+  };
   for (std::uint32_t s = 0; s < shares_.size(); ++s) {
-    if (targets_raw[s] > shares_[s]) {
-      acquire(s, targets_raw[s] - shares_[s], free_order);
+    if (targets_raw[s] <= shares_[s]) continue;
+    UnitPoint::raw_type amount = targets_raw[s] - shares_[s];
+    shares_[s] = targets_raw[s];
+    for (; amount >= psize_; amount -= psize_) claim(s, psize_);
+    if (amount > 0 && partial[s] != kNone) {
+      Partition& part = partitions_[partial[s]];
+      const UnitPoint::raw_type fill = std::min(psize_ - part.occupied, amount);
+      part.occupied += fill;
+      amount -= fill;
     }
+    if (amount > 0) claim(s, amount);
   }
   check_invariants();
 }
@@ -250,29 +221,36 @@ RegionMap::Snapshot RegionMap::snapshot() const {
   return out;
 }
 
-RegionMap RegionMap::from_snapshot(const Snapshot& snapshot,
-                                   std::size_t server_count) {
-  ANU_REQUIRE(!snapshot.empty());
-  ANU_REQUIRE((snapshot.size() & (snapshot.size() - 1)) == 0);  // power of 2
-  ANU_REQUIRE(snapshot.size() >= required_partitions(server_count));
+std::optional<RegionMap> RegionMap::try_from_snapshot(
+    const Snapshot& snapshot, std::size_t server_count) {
+  const std::size_t p = snapshot.size();
+  if (p == 0 || (p & (p - 1)) != 0 ||  // a power of two
+      p < required_partitions(server_count)) {
+    return std::nullopt;
+  }
   RegionMap map;
-  map.psize_ = UnitPoint::kOneRaw / snapshot.size();
-  map.partitions_.reserve(snapshot.size());
+  map.psize_ = UnitPoint::kOneRaw / p;
+  map.partitions_.reserve(p);
   map.shares_.assign(server_count, 0);
   for (const auto& [owner, occupied] : snapshot) {
     Partition part;
     if (owner != ServerId::kInvalidValue) {
-      ANU_REQUIRE(owner < server_count);
+      if (owner >= server_count) return std::nullopt;
       part.owner = ServerId(owner);
-      part.occupied = occupied;
       map.shares_[owner] += occupied;
-    } else {
-      ANU_REQUIRE(occupied == 0);
     }
+    part.occupied = occupied;
     map.partitions_.push_back(part);
   }
-  map.check_invariants();
+  if (!map.invariants_hold()) return std::nullopt;
   return map;
+}
+
+RegionMap RegionMap::from_snapshot(const Snapshot& snapshot,
+                                   std::size_t server_count) {
+  auto map = try_from_snapshot(snapshot, server_count);
+  ANU_REQUIRE(map.has_value());
+  return std::move(*map);
 }
 
 bool RegionMap::operator==(const RegionMap& other) const {
@@ -287,29 +265,33 @@ std::size_t RegionMap::shared_state_bytes() const {
   return partitions_.size() * 12 + 8;
 }
 
-void RegionMap::check_invariants() const {
+void RegionMap::check_invariants() const { ANU_ENSURE(invariants_hold()); }
+
+bool RegionMap::invariants_hold() const {
   std::vector<UnitPoint::raw_type> tally(shares_.size(), 0);
   std::vector<std::size_t> partials(shares_.size(), 0);
   std::size_t free_count = 0;
   for (const Partition& part : partitions_) {
     if (!part.owner.valid()) {
-      ANU_ENSURE(part.occupied == 0);
+      if (part.occupied != 0) return false;
       ++free_count;
       continue;
     }
-    ANU_ENSURE(part.occupied > 0 && part.occupied <= psize_);
-    ANU_ENSURE(part.owner.value() < shares_.size());
+    if (part.occupied == 0 || part.occupied > psize_ ||
+        part.owner.value() >= shares_.size()) {
+      return false;
+    }
     tally[part.owner.value()] += part.occupied;
     if (part.occupied < psize_) ++partials[part.owner.value()];
   }
   UnitPoint::raw_type total = 0;
   for (std::size_t s = 0; s < shares_.size(); ++s) {
-    ANU_ENSURE(tally[s] == shares_[s]);
-    ANU_ENSURE(partials[s] <= 1);  // at most one partial partition (§4)
+    // At most one partial partition per server (§4).
+    if (tally[s] != shares_[s] || partials[s] > 1) return false;
     total += tally[s];
   }
-  ANU_ENSURE(total == kHalfRaw);  // half-occupancy invariant (§4)
-  ANU_ENSURE(free_count >= 1);    // a recovered server can always be placed
+  // Half occupancy (§4), and a recovered server can always be placed.
+  return total == kHalfRaw && free_count >= 1;
 }
 
 }  // namespace anu::core

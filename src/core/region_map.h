@@ -17,10 +17,11 @@
 // advantage over virtual processors (§5.4).
 //
 // Region scaling preserves locality: shrinking a server releases from its
-// partial partition first and then converts whole partitions; growth fills
-// the partial and then claims the lowest-indexed free partitions. The load
-// that moves is exactly the symmetric difference of the old and new region
-// maps.
+// partial partition first and then from its highest-indexed whole
+// partitions; growth claims whole free partitions first (those freed this
+// round in index order, then long-free ones), then fills the partial. The
+// load that moves is exactly the symmetric difference of the old and new
+// region maps.
 #pragma once
 
 #include <cstdint>
@@ -59,8 +60,8 @@ class RegionMap {
   /// All shares, indexed by server id.
   [[nodiscard]] std::vector<UnitPoint> shares() const;
 
-  /// The server's mapped region as maximal disjoint segments (for tests,
-  /// diagnostics, and shed computation).
+  /// The server's mapped region as maximal disjoint segments (for tests
+  /// and diagnostics).
   [[nodiscard]] std::vector<UnitSegment> segments_of(ServerId id) const;
 
   /// Rescales every server's mapped region to the given targets.
@@ -101,6 +102,10 @@ class RegionMap {
   /// two >= required for `server_count`); verifies all invariants.
   [[nodiscard]] static RegionMap from_snapshot(const Snapshot& snapshot,
                                                std::size_t server_count);
+  /// from_snapshot for untrusted input (a snapshot off the network):
+  /// nullopt instead of an abort when any of those checks fails.
+  [[nodiscard]] static std::optional<RegionMap> try_from_snapshot(
+      const Snapshot& snapshot, std::size_t server_count);
   /// Content equality (same partitions, same owners, same prefixes).
   bool operator==(const RegionMap& other) const;
 
@@ -114,12 +119,9 @@ class RegionMap {
     bool operator==(const Partition&) const = default;
   };
 
-  void release(std::uint32_t server, UnitPoint::raw_type amount,
-               std::vector<std::size_t>& freed);
-  void acquire(std::uint32_t server, UnitPoint::raw_type amount,
-               std::vector<std::size_t>& free_order);
   void split_partitions();
-  [[nodiscard]] std::optional<std::size_t> partial_of(std::uint32_t s) const;
+  /// check_invariants() without the abort.
+  [[nodiscard]] bool invariants_hold() const;
 
   UnitPoint::raw_type psize_ = 0;
   std::vector<Partition> partitions_;

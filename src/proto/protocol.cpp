@@ -1,6 +1,7 @@
 #include "proto/protocol.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/assert.h"
 #include "common/log.h"
@@ -255,11 +256,15 @@ void ProtocolCluster::on_message(std::uint32_t self, std::uint32_t from,
   if (!node.up) return;
   // Any received message proves the sender was alive when it sent.
   if (config_.use_heartbeats) views_[self].heard_from(from, clock_.now());
-  // The transport vouches for `from`; a report speaking for another server
-  // is forged or corrupt. Drop it before it is acked or indexes the round's
-  // per-server report table.
+  // The transport vouches for `from`, not for the payload. A report speaking
+  // for another server is forged or corrupt, and a negative or non-finite
+  // latency would poison the tuner's weights. Drop either before it is
+  // acked or indexes the round's per-server report table.
   if (const auto* report = std::get_if<LatencyReport>(&message);
-      report != nullptr && report->server != from) {
+      report != nullptr &&
+      (report->server != from || !std::isfinite(report->report.mean_latency) ||
+       report->report.mean_latency < 0.0)) {
+    ++messages_rejected_;
     return;
   }
   if (const auto* ack = std::get_if<Ack>(&message)) {
@@ -374,8 +379,15 @@ void ProtocolCluster::apply_update(std::uint32_t self,
   if (update.version < node.version) return;  // stale or duplicate
   const core::RegionMap previous = node.map;
   if (update.version > node.version) {
-    node.map = core::RegionMap::from_snapshot(update.partitions,
-                                              nodes_.size());
+    // The table may come off the network: one that breaks the map's
+    // invariants is dropped, not applied.
+    auto map = core::RegionMap::try_from_snapshot(update.partitions,
+                                                  nodes_.size());
+    if (!map) {
+      ++messages_rejected_;
+      return;
+    }
+    node.map = std::move(*map);
     node.version = update.version;
   }
   // Shed protocol: file sets this node served under the previous map that

@@ -149,6 +149,14 @@ class ProtocolCluster {
     return retries_abandoned_;
   }
 
+  /// Received messages dropped as invalid: a latency report speaking for
+  /// another server or carrying a negative or non-finite latency, and a map
+  /// update whose table breaks the RegionMap invariants. None reaches an
+  /// abort.
+  [[nodiscard]] std::uint64_t messages_rejected() const {
+    return messages_rejected_;
+  }
+
   /// Fired when a node sheds a file set on applying a new map (at the
   /// moment it sends the ShedNotice): (file_set, from, to). The data-plane
   /// integration uses this to hand the file set's queued requests over.
@@ -213,6 +221,7 @@ class ProtocolCluster {
   std::uint64_t acks_received_ = 0;
   std::uint64_t duplicates_suppressed_ = 0;
   std::uint64_t retries_abandoned_ = 0;
+  std::uint64_t messages_rejected_ = 0;
   anu::PeriodicTimer ticker_;
   std::unique_ptr<anu::PeriodicTimer> heartbeat_ticker_;
 };

@@ -1,7 +1,11 @@
 // Tests for the control-protocol simulation: network model, report/update
-// flow, versioned replication, shed notices, delegate failover, forged
-// reports.
+// flow, versioned replication, shed notices, delegate failover, forged and
+// invalid messages.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <limits>
 
 #include "faults/fault_plan.h"
 #include "proto/network.h"
@@ -424,32 +428,30 @@ TEST(ProtocolHeartbeat, RecoveryRedetected) {
   EXPECT_TRUE(h.cluster.replicas_agree());
 }
 
-// --- forged latency reports -------------------------------------------------
+// --- forged and invalid messages --------------------------------------------
 
-/// Runs round 1 (tick at 120 s) with node 1 sending the delegate, node 0,
-/// best-effort latency reports that claim to speak for the `claimed`
-/// servers. They land mid-interval: were one accepted, it would open round
-/// 1 early and the delegate would tune on forged numbers at the grace
-/// deadline.
-void run_round_with_forged_reports(ProtoHarness& h,
-                                   std::vector<std::uint32_t> claimed) {
-  h.clock.schedule_at(60.0, [&h, claimed] {
-    for (const std::uint32_t server : claimed) {
-      LatencyReport forged;
-      forged.server = server;
-      forged.round = 1;
-      forged.report = balance::ServerReport{1e3, 1};
-      h.net.send(1, 0, forged);
-    }
+/// Runs round 1 (tick at 120 s) twice: cleanly, and with node 1 sending the
+/// delegate, node 0, the `injected` messages best-effort at 60 s. They land
+/// mid-interval: were a report accepted, it would open round 1 early and
+/// the delegate would tune on forged numbers at the grace deadline; were a
+/// map update applied, node 0 would hold a table no delegate published.
+/// Every injected message must be dropped and counted, leaving round 1
+/// exactly as the clean run's.
+void expect_all_rejected(std::vector<Message> injected) {
+  const std::vector<double> speeds{1.0, 3.0, 5.0, 7.0, 9.0};
+  ProtoHarness clean(5, speeds);
+  clean.sim.run_until(130.0);
+  ProtoHarness forged(5, speeds);
+  const std::size_t count = injected.size();
+  forged.clock.schedule_at(60.0, [&forged, injected] {
+    for (const Message& message : injected) forged.net.send(1, 0, message);
   });
-  h.sim.run_until(130.0);
-}
+  forged.sim.run_until(130.0);
 
-void expect_same_round(const ProtoHarness& clean, const ProtoHarness& forged,
-                       std::size_t servers) {
+  EXPECT_EQ(forged.cluster.messages_rejected(), count);
   EXPECT_EQ(forged.cluster.updates_published(),
             clean.cluster.updates_published());
-  for (std::uint32_t n = 0; n < servers; ++n) {
+  for (std::uint32_t n = 0; n < 5; ++n) {
     EXPECT_EQ(forged.cluster.version_of(n), clean.cluster.version_of(n))
         << "node " << n;
     EXPECT_EQ(forged.cluster.map_of(n).snapshot(),
@@ -458,24 +460,92 @@ void expect_same_round(const ProtoHarness& clean, const ProtoHarness& forged,
   }
 }
 
+LatencyReport report_from(std::uint32_t server, double latency) {
+  LatencyReport report;
+  report.server = server;
+  report.round = 1;
+  report.report = balance::ServerReport{latency, 1};
+  return report;
+}
+
 TEST(ForgedReport, SpoofedInRangeServerIsDropped) {
-  const std::vector<double> speeds{1.0, 3.0, 5.0, 7.0, 9.0};
-  ProtoHarness clean(5, speeds);
-  clean.sim.run_until(130.0);
-  ProtoHarness forged(5, speeds);
-  run_round_with_forged_reports(forged, {2, 3, 4});
-  expect_same_round(clean, forged, 5);
+  expect_all_rejected(
+      {report_from(2, 1e3), report_from(3, 1e3), report_from(4, 1e3)});
 }
 
 TEST(ForgedReport, OutOfRangeServerTouchesNoMemory) {
   // server == N is one past the delegate's per-server report table (the
   // sanitizer build catches a write there); 2^32-1 is far outside it.
-  const std::vector<double> speeds{1.0, 3.0, 5.0, 7.0, 9.0};
-  ProtoHarness clean(5, speeds);
-  clean.sim.run_until(130.0);
-  ProtoHarness forged(5, speeds);
-  run_round_with_forged_reports(forged, {5, 0xffffffffu});
-  expect_same_round(clean, forged, 5);
+  expect_all_rejected({report_from(5, 1e3), report_from(0xffffffffu, 1e3)});
+}
+
+TEST(ForgedReport, NanLatencyIsDropped) {
+  // A NaN latency turns into a NaN tuner weight, which normalize_shares
+  // would reject with an abort.
+  expect_all_rejected({report_from(1, std::nan(""))});
+}
+
+TEST(ForgedReport, NegativeAndInfiniteLatenciesAreDropped) {
+  expect_all_rejected({report_from(1, -1.0),
+                       report_from(1, std::numeric_limits<double>::infinity()),
+                       report_from(1, -std::numeric_limits<double>::infinity())});
+}
+
+/// A version-1 map update carrying `partitions` — newer than anything node
+/// 0 holds before round 1, so it would be applied were it valid.
+RegionMapUpdate update_with(core::RegionMap::Snapshot partitions) {
+  RegionMapUpdate update;
+  update.version = 1;
+  update.round = 1;
+  update.partitions = std::move(partitions);
+  return update;
+}
+
+TEST(ForgedReport, MapUpdateWithEmptyTableIsDropped) {
+  expect_all_rejected({update_with({})});
+}
+
+TEST(ForgedReport, MapUpdateWithMisSizedTableIsDropped) {
+  // 24 partitions is no power of two; 8 is fewer than 5 servers need.
+  auto table = core::RegionMap(5).snapshot();
+  table.resize(24, {ServerId::kInvalidValue, 0});
+  expect_all_rejected({update_with(table),
+                       update_with(core::RegionMap(4).snapshot())});
+}
+
+TEST(ForgedReport, MapUpdateWithUnknownOwnerIsDropped) {
+  auto table = core::RegionMap(5).snapshot();
+  table.front().first = 5;  // servers are 0..4
+  expect_all_rejected({update_with(table)});
+}
+
+TEST(ForgedReport, MapUpdateBreakingOccupancyIsDropped) {
+  // Each table has a legal shape but breaks an invariant of §4: total
+  // occupancy off half by one unit (taken from a partial partition); a free
+  // partition with occupancy; a server with more than one partial partition
+  // (a unit moved from its full partition into a free one, so the total
+  // still holds).
+  const auto valid = core::RegionMap(5).snapshot();
+  const auto psize = UnitPoint::kOneRaw / valid.size();
+  const auto first = [](core::RegionMap::Snapshot& table, auto pred) {
+    return std::find_if(table.begin(), table.end(), pred);
+  };
+  const auto free = [](const auto& e) {
+    return e.first == ServerId::kInvalidValue;
+  };
+  auto short_total = valid;
+  --first(short_total, [&](const auto& e) {
+      return !free(e) && e.second < psize;
+    })->second;
+  auto occupied_free = valid;
+  first(occupied_free, free)->second = 1;
+  auto two_partials = valid;
+  const auto full =
+      first(two_partials, [&](const auto& e) { return e.second == psize; });
+  --full->second;
+  *first(two_partials, free) = {full->first, 1};
+  expect_all_rejected({update_with(short_total), update_with(occupied_free),
+                       update_with(two_partials)});
 }
 
 }  // namespace

@@ -3,11 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
 #include <set>
 
 #include "common/rng.h"
+#include "region_map_reference.h"
 
 namespace anu::core {
 namespace {
@@ -204,18 +206,23 @@ TEST(RegionMap, SharedStateScalesWithPartitions) {
   EXPECT_EQ(large.shared_state_bytes(), 128u * 12 + 8);
 }
 
-// Property test: invariants survive long random rebalance sequences with
-// server removals (zero targets), additions, and extreme skews.
+// Property and differential tests: invariants survive long random
+// rebalance sequences with server removals (zero targets), additions, and
+// extreme skews, and every step's table is byte-identical to the frozen
+// reference implementation's (region_map_reference.h).
 class RegionMapChurnTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(RegionMapChurnTest, InvariantsHoldUnderRandomChurn) {
   Xoshiro256 rng(GetParam());
   std::size_t servers = 1 + rng.next_below(8);
   RegionMap map(servers);
+  reference::RegionMap ref(servers);
+  ASSERT_EQ(map.snapshot(), ref.snapshot());
   for (int step = 0; step < 200; ++step) {
     const auto action = rng.next_below(10);
     if (action == 0 && servers < 40) {
       map.add_server_slot();
+      ref.add_server_slot();
       ++servers;
     }
     std::vector<double> weights(servers);
@@ -231,8 +238,62 @@ TEST_P(RegionMapChurnTest, InvariantsHoldUnderRandomChurn) {
     }
     if (alive == 0) weights[0] = 1.0;
     // rebalance() itself calls check_invariants() and aborts on violation.
-    map.rebalance(RegionMap::normalize_shares(weights));
+    const auto targets = RegionMap::normalize_shares(weights);
+    map.rebalance(targets);
+    ref.rebalance(targets);
     EXPECT_EQ(total_share(map), RegionMap::kHalfRaw);
+    ASSERT_EQ(map.snapshot(), ref.snapshot()) << "step " << step;
+  }
+}
+
+// The same differential check at a few hundred servers, with targets shaped
+// like AnuBalancer's: batches of added slots (splitting partitions as k
+// crosses powers of two), failures (zero weight), recoveries and newcomers
+// at exactly one partition size (§4), and otherwise the current shares
+// perturbed or redrawn over four decades.
+TEST_P(RegionMapChurnTest, MatchesFrozenReferenceAtScale) {
+  Xoshiro256 rng(GetParam());
+  std::size_t servers = 1 + rng.next_below(8);
+  RegionMap map(servers);
+  reference::RegionMap ref(servers);
+  std::vector<bool> up(servers, true);
+  for (int step = 0; step < 200; ++step) {
+    std::vector<bool> recovering(servers, false);
+    if (rng.next_below(4) == 0 && servers < 600) {
+      for (auto n = 1 + rng.next_below(64); n > 0; --n) {
+        map.add_server_slot();
+        ref.add_server_slot();
+        up.push_back(true);
+        recovering.push_back(true);
+        ++servers;
+      }
+      ASSERT_EQ(map.snapshot(), ref.snapshot()) << "split, step " << step;
+    }
+    // Weights in raw units, as AnuBalancer weighs a recovering server.
+    const auto psize = static_cast<double>(map.partition_size().raw());
+    const bool redraw = rng.next_below(3) == 0;
+    const auto shares = map.shares();
+    std::vector<double> weights(servers, 0.0);
+    for (std::size_t s = 0; s < servers; ++s) {
+      if (!up[s] && rng.next_below(4) == 0) up[s] = recovering[s] = true;
+      if (!recovering[s] && up[s] && rng.next_below(100) < 8) up[s] = false;
+      if (recovering[s]) {
+        weights[s] = psize;
+      } else if (up[s]) {
+        weights[s] = redraw ? psize * std::pow(10.0, rng.next_double() * 4 - 2)
+                            : static_cast<double>(shares[s].raw()) *
+                                  (0.5 + rng.next_double());
+      }
+    }
+    if (std::none_of(weights.begin(), weights.end(),
+                     [](double w) { return w > 0.0; })) {
+      up[0] = true;
+      weights[0] = 1.0;
+    }
+    const auto targets = RegionMap::normalize_shares(weights);
+    map.rebalance(targets);
+    ref.rebalance(targets);
+    ASSERT_EQ(map.snapshot(), ref.snapshot()) << "step " << step;
   }
 }
 

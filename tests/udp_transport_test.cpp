@@ -15,7 +15,10 @@
 #include <vector>
 
 #include "proto/messages.h"
+#include "proto/protocol.h"
+#include "proto/wire.h"
 #include "runtime/udp_transport.h"
+#include "sim/sim_clock.h"
 
 namespace anu::runtime {
 namespace {
@@ -30,6 +33,21 @@ bool pump_until(UdpTransport& transport, Pred&& pred) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   return pred();
+}
+
+/// Sends one raw frame to `port` on loopback from an outside socket, as a
+/// hostile peer would.
+void inject(std::uint16_t port, const std::vector<std::uint8_t>& frame) {
+  const int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in dest{};
+  dest.sin_family = AF_INET;
+  dest.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  dest.sin_port = htons(port);
+  EXPECT_EQ(::sendto(fd, frame.data(), frame.size(), 0,
+                     reinterpret_cast<const sockaddr*>(&dest), sizeof(dest)),
+            static_cast<ssize_t>(frame.size()));
+  ::close(fd);
 }
 
 TEST(UdpTransport, BindsOneEphemeralPortPerNode) {
@@ -125,21 +143,10 @@ TEST(UdpTransport, DropsStrayAndMalformedDatagrams) {
   transport.attach(0, [&](std::uint32_t, const proto::Message&) {
     ++received;
   });
-  // Inject raw frames from an outside socket, as a hostile peer would.
-  const int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
-  ASSERT_GE(fd, 0);
-  sockaddr_in dest{};
-  dest.sin_family = AF_INET;
-  dest.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  dest.sin_port = htons(transport.port_of(0));
-  const auto inject = [&](const std::vector<std::uint8_t>& frame) {
-    ASSERT_EQ(::sendto(fd, frame.data(), frame.size(), 0,
-                       reinterpret_cast<const sockaddr*>(&dest), sizeof(dest)),
-              static_cast<ssize_t>(frame.size()));
-  };
-  inject({1, 2, 3});                     // shorter than the frame prefix
-  inject({9, 0, 0, 0, 3, 0, 0, 0, 0});   // sender id 9 out of range
-  inject({1, 0, 0, 0, 250});             // valid sender, unknown message tag
+  const std::uint16_t port = transport.port_of(0);
+  inject(port, {1, 2, 3});                    // shorter than the frame prefix
+  inject(port, {9, 0, 0, 0, 3, 0, 0, 0, 0});  // sender id 9 out of range
+  inject(port, {1, 0, 0, 0, 250});  // valid sender, unknown message tag
   ASSERT_TRUE(
       pump_until(transport, [&] { return transport.datagrams_dropped() >= 3; }));
   EXPECT_EQ(received, 0);
@@ -147,7 +154,6 @@ TEST(UdpTransport, DropsStrayAndMalformedDatagrams) {
   // And a well-formed frame still gets through afterwards.
   transport.send(1, 0, proto::Heartbeat{1});
   EXPECT_TRUE(pump_until(transport, [&] { return received == 1; }));
-  ::close(fd);
 }
 
 TEST(UdpTransport, LargeRegionMapUpdateSurvivesTheWire) {
@@ -170,6 +176,28 @@ TEST(UdpTransport, LargeRegionMapUpdateSurvivesTheWire) {
   ASSERT_TRUE(pump_until(transport, [&] { return arrived; }));
   EXPECT_EQ(got.version, 3u);
   EXPECT_EQ(got.partitions, update.partitions);
+}
+
+TEST(UdpTransport, HostileMapUpdateIsDroppedByTheProtocol) {
+  // A well-framed datagram from a valid sender id: decode accepts it, but
+  // its empty partition table is no region map. The protocol node must
+  // count and drop it rather than abort.
+  sim::Simulation sim;
+  sim::SimClock clock{sim};
+  UdpTransport transport(3);
+  proto::ProtocolCluster cluster(
+      clock, transport, proto::ProtocolConfig{}, 3,
+      [](std::uint32_t, UnitPoint) { return balance::ServerReport{1.0, 1}; });
+  proto::RegionMapUpdate update;
+  update.version = 1;
+  std::vector<std::uint8_t> frame{1, 0, 0, 0};  // sender id 1, little-endian
+  const auto payload = proto::encode(update);
+  frame.insert(frame.end(), payload.begin(), payload.end());
+  inject(transport.port_of(0), frame);
+  EXPECT_TRUE(
+      pump_until(transport, [&] { return cluster.messages_rejected() == 1; }));
+  EXPECT_EQ(transport.datagrams_delivered(), 1u);
+  EXPECT_EQ(cluster.version_of(0), 0u);
 }
 
 }  // namespace

@@ -1,14 +1,14 @@
 // google-benchmark: discrete-event engine throughput — the substrate every
-// experiment runs on. Measures raw event dispatch, the FIFO-resource
+// experiment runs on. Measures raw event dispatch, a cluster::Server's FIFO
 // service loop at several queue depths, and the end-to-end experiment
 // driver with tracing off vs on (the observability overhead contract in
 // docs/observability.md: disabled tracing must cost < 2%).
 #include <benchmark/benchmark.h>
 
+#include "cluster/server.h"
 #include "driver/balancer_factory.h"
 #include "driver/experiment.h"
 #include "obs/trace_sink.h"
-#include "sim/resource.h"
 #include "sim/simulation.h"
 #include "workload/synthetic.h"
 
@@ -31,8 +31,8 @@ void BM_EventDispatch(benchmark::State& state) {
 BENCHMARK(BM_EventDispatch)->Arg(1024)->Arg(16384)->Arg(131072);
 
 void BM_EventChurn(benchmark::State& state) {
-  // Schedule-then-cancel-half: the timer-churn pattern of FifoResource
-  // fail() and monitor re-arms. Exercises handle cancellation and slab
+  // Schedule-then-cancel-half: the timer-churn pattern of Server::fail()
+  // and cancel() and of periodic-timer re-arms. Exercises handle cancellation and slab
   // slot recycling under a clustered (97 distinct times) calendar.
   const auto batch = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
@@ -73,12 +73,12 @@ void BM_FifoServiceLoop(benchmark::State& state) {
   const auto jobs = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
     Simulation sim;
-    FifoResource resource(sim, 5.0);
+    anu::cluster::Server server(sim, anu::ServerId(0), 5.0);
     for (std::size_t i = 0; i < jobs; ++i) {
-      resource.submit(Job{1.0, i, nullptr});
+      server.submit(anu::FileSetId(static_cast<std::uint32_t>(i)), 1.0);
     }
     sim.run_to_completion();
-    benchmark::DoNotOptimize(resource.jobs_completed());
+    benchmark::DoNotOptimize(server.requests_served());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(jobs));

@@ -5,13 +5,22 @@
 #
 #   * the 64-seed batch (`anu_sim --seeds 64`), the same run
 #     cli_batch_determinism compares across --jobs;
-#   * the cli_matrix_determinism scenario matrix;
+#   * the cli_matrix_determinism scenario matrix, plus the uniform speed
+#     profile and the redundancy strategy. Equal speeds make replicas of one
+#     request finish at the same instant, so the order in which a server
+#     starts its next request and reports the finished one decides which
+#     replica wins; no other artifact sees that order;
 #   * a multi-seed `--chaos-profile mixed` batch, which drives the message
 #     protocol (delegate rounds, retransmits, failover) end to end;
 #   * the JSONL event trace of one direct run (the `anu_sim --example`
 #     config) and of one chaos run (`--chaos-seed 1`). The scalar
 #     artifacts above cannot see a reordered or dropped trace emit; these
 #     two traces, one per experiment driver, can.
+#   * the JSONL traces of one direct run of a config that switches on what
+#     the example leaves off: the cold-cache model, the move penalty, the
+#     control delay, and fail/recover/add/degrade/restore events. It runs
+#     once as `anu` and once as `--strategy redundancy` with
+#     `red_cancel start`, so replica cancels and on-start races are traced.
 #
 # The cli_* ctest checks only compare --jobs 8 against --jobs 1 of one
 # build; this script is what shows a refactor kept the parent's behaviour.
@@ -62,14 +71,41 @@ run_artifacts() {  # run_artifacts <anu_sim> <out-dir>
   local sim="$1" out="$2"
   mkdir -p "$out"
   "$sim" --seeds 64 --jobs "$JOBS" --json-out "$out/batch.json" >/dev/null
-  "$sim" --matrix --profiles paper --servers 4 --loads 0.5 \
-    --strategies jsqd,jiq --seeds 2 --jobs "$JOBS" \
+  "$sim" --matrix --profiles paper,uniform --servers 4 --loads 0.5 \
+    --strategies jsqd,jiq,redundancy --seeds 2 --jobs "$JOBS" \
     --matrix-out "$out/matrix" >/dev/null
   "$sim" --seeds 8 --chaos-seed 1 --chaos-profile mixed --jobs "$JOBS" \
     --json-out "$out/chaos.json" >/dev/null
   "$sim" --example >"$out/example.cfg"
   "$sim" --trace-out "$out/direct.trace.jsonl" "$out/example.cfg" >/dev/null
   "$sim" --chaos-seed 1 --trace-out "$out/chaos.trace.jsonl" >/dev/null
+  cat >"$out/features.cfg" <<'CFG'
+workload synthetic
+seed 11
+file_sets 40
+requests 20000
+duration_min 60
+utilization 0.6
+speeds 1 3 5 7 9
+system anu
+red_cancel start
+tuning_interval_s 60
+move_penalty_s 0.05
+cache_penalty_x 2
+cache_warmup_requests 20
+control_delay_s 5
+fail 10 1
+recover 20 1
+add 25 4
+degrade 30 2 0.5
+restore 40 2
+degrade 45 3 0.25
+fail 50 0
+CFG
+  "$sim" --trace-out "$out/features.trace.jsonl" "$out/features.cfg" \
+    >/dev/null
+  "$sim" --strategy redundancy --trace-out "$out/redundancy.trace.jsonl" \
+    "$out/features.cfg" >/dev/null
   # Drop the per-revision "git" field (top level, one line) in place.
   find "$out" -name '*.json' -exec sed -i '/^  "git": /d' {} +
 }
@@ -87,7 +123,8 @@ run_artifacts "$WORK/base-build/tools/anu_sim" "$WORK/base-out"
 run_artifacts "$WORK/head-build/tools/anu_sim" "$WORK/head-out"
 
 status=0
-for artifact in batch.json chaos.json direct.trace.jsonl chaos.trace.jsonl; do
+for artifact in batch.json chaos.json direct.trace.jsonl chaos.trace.jsonl \
+  features.trace.jsonl redundancy.trace.jsonl; do
   if cmp "$WORK/base-out/$artifact" "$WORK/head-out/$artifact"; then
     echo "parity: $artifact identical"
   else

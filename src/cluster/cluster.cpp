@@ -97,6 +97,9 @@ void Cluster::recover_server(ServerId id) {
 }
 
 void Cluster::degrade_server(ServerId id, double factor) {
+  // A down server ignores a degrade (it recovers at nominal speed), so
+  // there is nothing to trace either.
+  if (!server(id).is_up()) return;
   if (auto* t = sim_.trace()) {
     t->emit(sim_.now(), obs::EventType::kServerDegrade, id.value(), 0, 0,
             factor);

@@ -9,21 +9,14 @@ namespace anu::cluster {
 
 Server::Server(sim::Simulation& simulation, ServerId id, double speed,
                const CacheConfig& cache)
-    : id_(id),
-      resource_(simulation, speed, "server" + std::to_string(id.value())),
+    : sim_(simulation),
+      id_(id),
       nominal_speed_(speed),
+      speed_(speed),
       cache_(cache) {
+  ANU_REQUIRE(speed > 0.0);
   ANU_REQUIRE(cache_.cold_penalty_factor >= 1.0);
   ANU_REQUIRE(!cache_.enabled || cache_.warmup_requests > 0);
-  resource_.on_flush = [this](const sim::Job& job) {
-    if (on_flush) {
-      on_flush(FileSetId(static_cast<std::uint32_t>(job.tag)), job.demand,
-               job.id);
-    }
-  };
-  resource_.on_idle = [this] {
-    if (on_idle) on_idle(id_);
-  };
 }
 
 double Server::cache_factor(FileSetId file_set) const {
@@ -43,55 +36,82 @@ double Server::warmth(FileSetId file_set) const {
 void Server::evict(FileSetId file_set) { cache_hits_.erase(file_set.value()); }
 
 void Server::submit(FileSetId file_set, double demand, SimTime arrival) {
-  enqueue(file_set, demand, arrival, 0, nullptr);
+  enqueue(QueuedRequest{file_set, demand, arrival, 0, nullptr});
 }
 
-void Server::submit_replica(FileSetId file_set, double demand,
-                            std::uint64_t job_id,
-                            std::function<void(SimTime)> on_start) {
+void Server::submit_replica(
+    FileSetId file_set, double demand, std::uint64_t job_id,
+    std::function<void(SimTime, const QueuedRequest&)> on_start) {
   ANU_REQUIRE(job_id != 0);
-  enqueue(file_set, demand, -1.0, job_id, std::move(on_start));
+  enqueue(QueuedRequest{file_set, demand, -1.0, job_id, std::move(on_start)});
 }
 
-sim::CancelOutcome Server::cancel(std::uint64_t job_id) {
-  return resource_.cancel(job_id);
+void Server::enqueue(QueuedRequest request) {
+  ANU_REQUIRE(up_);
+  request.demand *= cache_factor(request.file_set);
+  ANU_REQUIRE(request.demand >= 0.0);
+  if (cache_.enabled) ++cache_hits_[request.file_set.value()];
+  if (request.arrival < 0.0) request.arrival = sim_.now();
+  queue_.push_back(std::move(request));
+  if (!busy_) start_next();
 }
 
-void Server::enqueue(FileSetId file_set, double demand, SimTime arrival,
-                     std::uint64_t job_id,
-                     std::function<void(SimTime)> on_start) {
-  ANU_REQUIRE(is_up());
-  sim::Job job;
-  job.demand = demand * cache_factor(file_set);
-  if (cache_.enabled) ++cache_hits_[file_set.value()];
-  job.tag = file_set.value();
-  job.id = job_id;
-  job.arrival = arrival;
-  if (on_start) {
-    job.on_start = [cb = std::move(on_start)](SimTime when, const sim::Job&) {
-      cb(when);
-    };
+void Server::start_next() {
+  if (queue_.empty()) return;
+  busy_ = true;
+  in_flight_ = std::move(queue_.front());
+  queue_.pop_front();
+  service_start_ = sim_.now();
+  completion_event_ =
+      sim_.schedule_after(in_flight_.demand / speed_, [this] { finish(); });
+  if (in_flight_.on_start) in_flight_.on_start(sim_.now(), in_flight_);
+}
+
+void Server::finish() {
+  busy_ = false;
+  busy_time_ += sim_.now() - service_start_;
+  ++completed_;
+  const Completion done{id_, in_flight_.file_set, in_flight_.arrival,
+                        sim_.now(), in_flight_.job_id};
+  // The successor starts (and its completion is scheduled) before the
+  // observer runs; the observer may submit here again.
+  start_next();
+  interval_.add(done.latency());
+  if (on_complete) on_complete(done);
+  if (!busy_ && up_ && on_idle) on_idle(id_);
+}
+
+CancelOutcome Server::cancel(std::uint64_t job_id) {
+  if (job_id == 0) return CancelOutcome::kNotFound;
+  if (busy_ && in_flight_.job_id == job_id) {
+    completion_event_.cancel();
+    busy_ = false;
+    busy_time_ += sim_.now() - service_start_;  // partial service rendered
+    start_next();
+    if (!busy_ && on_idle) on_idle(id_);
+    return CancelOutcome::kInService;
   }
-  job.on_complete = [this](SimTime when, const sim::Job& done) {
-    const Completion c{id_, FileSetId(static_cast<std::uint32_t>(done.tag)),
-                       done.arrival, when, done.id};
-    interval_.add(c.latency());
-    lifetime_.add(c.latency());
-    if (on_complete) on_complete(c);
-  };
-  resource_.submit(std::move(job));
+  const auto it =
+      std::find_if(queue_.begin(), queue_.end(), [&](const QueuedRequest& r) {
+        return r.job_id == job_id;
+      });
+  if (it == queue_.end()) return CancelOutcome::kNotFound;
+  queue_.erase(it);
+  return CancelOutcome::kQueued;
 }
 
 std::vector<Server::QueuedRequest> Server::extract_queued(FileSetId file_set) {
-  const auto jobs = resource_.extract_queued([&](const sim::Job& job) {
-    return job.tag == file_set.value();
-  });
-  std::vector<QueuedRequest> out;
-  out.reserve(jobs.size());
-  for (const sim::Job& job : jobs) {
-    out.push_back(QueuedRequest{file_set, job.demand, job.arrival});
+  std::vector<QueuedRequest> taken;
+  std::deque<QueuedRequest> kept;
+  for (QueuedRequest& request : queue_) {
+    if (request.file_set == file_set) {
+      taken.push_back(std::move(request));
+    } else {
+      kept.push_back(std::move(request));
+    }
   }
-  return out;
+  queue_ = std::move(kept);
+  return taken;
 }
 
 Server::IntervalReport Server::take_interval_report() {
@@ -100,13 +120,29 @@ Server::IntervalReport Server::take_interval_report() {
   return report;
 }
 
+void Server::flush(const QueuedRequest& request) {
+  if (on_flush) on_flush(request.file_set, request.demand, request.job_id);
+}
+
 void Server::fail() {
-  resource_.fail();
+  up_ = false;
+  if (busy_) {
+    completion_event_.cancel();
+    busy_ = false;
+    busy_time_ += sim_.now() - service_start_;  // partial service rendered
+    flush(in_flight_);
+  }
+  while (!queue_.empty()) {
+    flush(queue_.front());
+    queue_.pop_front();
+  }
   cache_hits_.clear();  // a restarted server comes back cold
 }
 
 void Server::recover() {
-  resource_.recover();
+  ANU_REQUIRE(!up_);
+  ANU_ENSURE(queue_.empty() && !busy_);
+  up_ = true;
   // Any gray degradation active at failure time does not survive the
   // restart: a recovered server runs at nominal speed.
   restore();
@@ -114,14 +150,8 @@ void Server::recover() {
 
 void Server::degrade(double factor) {
   ANU_REQUIRE(factor > 0.0 && factor <= 1.0);
-  ANU_REQUIRE(is_up());
-  degraded_ = true;
-  resource_.set_speed(nominal_speed_ * factor);
-}
-
-void Server::restore() {
-  degraded_ = false;
-  resource_.set_speed(nominal_speed_);
+  if (!up_) return;
+  speed_ = nominal_speed_ * factor;
 }
 
 }  // namespace anu::cluster

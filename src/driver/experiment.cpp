@@ -145,9 +145,9 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
       for (Replica& rep : group.replicas) {
         if (!rep.active || rep.id == winner) continue;
         switch (cluster.server(rep.server).cancel(rep.id)) {
-          case sim::CancelOutcome::kQueued: ++cancelled_queued; break;
-          case sim::CancelOutcome::kInService: ++cancelled_in_service; break;
-          case sim::CancelOutcome::kNotFound: break;
+          case cluster::CancelOutcome::kQueued: ++cancelled_queued; break;
+          case cluster::CancelOutcome::kInService: ++cancelled_in_service; break;
+          case cluster::CancelOutcome::kNotFound: break;
         }
         rep.active = false;
         group_of.erase(rep.id);
@@ -219,7 +219,10 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
         const std::uint64_t rid = rep.id;
         cluster.server(rep.server)
             .submit_replica(fs, demand, rid,
-                            [this, rid](SimTime) { on_start(rid); });
+                            [this, rid](SimTime,
+                                        const cluster::Server::QueuedRequest&) {
+                              on_start(rid);
+                            });
       }
     }
   } replicas{cluster};

@@ -133,6 +133,7 @@ struct ExperimentResult {
     std::uint64_t acks_received = 0;
     std::uint64_t duplicates_suppressed = 0;
     std::uint64_t retries_abandoned = 0;
+    std::uint64_t messages_rejected = 0;  // failed validation, dropped
   };
   ControlPlaneStats control_plane;
 };

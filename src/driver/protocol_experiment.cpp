@@ -124,6 +124,7 @@ ExperimentResult run_protocol_experiment(
   result.control_plane.duplicates_suppressed =
       protocol.duplicates_suppressed();
   result.control_plane.retries_abandoned = protocol.retries_abandoned();
+  result.control_plane.messages_rejected = protocol.messages_rejected();
   return result;
 }
 

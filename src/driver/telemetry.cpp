@@ -233,7 +233,8 @@ Json result_json(const ExperimentResult& r) {
       .set("retransmits", cp.retransmits)
       .set("acks_received", cp.acks_received)
       .set("duplicates_suppressed", cp.duplicates_suppressed)
-      .set("retries_abandoned", cp.retries_abandoned);
+      .set("retries_abandoned", cp.retries_abandoned)
+      .set("messages_rejected", cp.messages_rejected);
   o.set("control_plane", std::move(control));
   return o;
 }

@@ -4,11 +4,19 @@
 
 namespace anu::proto {
 
+namespace {
+
+// Silence threshold before a peer is suspected. Must comfortably exceed
+// the heartbeat interval + worst-case network delay or live peers flap.
+constexpr double kSuspectAfter = 3.5;
+
+}  // namespace
+
 HeartbeatView::HeartbeatView(const HeartbeatConfig& config,
                              std::size_t peer_count, std::uint32_t self)
     : config_(config), self_(self), last_heard_(peer_count, 0.0) {
   ANU_REQUIRE(config.interval > 0.0);
-  ANU_REQUIRE(config.suspect_after > config.interval);
+  ANU_REQUIRE(kSuspectAfter > config.interval);
   ANU_REQUIRE(self < peer_count);
 }
 
@@ -20,7 +28,7 @@ void HeartbeatView::heard_from(std::uint32_t peer, double now) {
 bool HeartbeatView::believes_up(std::uint32_t peer, double now) const {
   ANU_REQUIRE(peer < last_heard_.size());
   if (peer == self_) return true;
-  return now - last_heard_[peer] < config_.suspect_after;
+  return now - last_heard_[peer] < kSuspectAfter;
 }
 
 std::uint32_t HeartbeatView::believed_delegate(double now) const {

@@ -3,11 +3,11 @@
 // §4's protocol presumes every node knows which servers are up — the
 // delegate is "elected", failed servers' regions are reassigned. This
 // detector makes that knowledge emergent: every node broadcasts a
-// Heartbeat each `interval`; a peer not heard from for `suspect_after`
-// is locally suspected. Each node holds its own view, so views can
-// transiently disagree (the classic eventually-perfect detector in a
-// partially synchronous network); the protocol's version-by-round updates
-// tolerate that window.
+// Heartbeat each `interval`; a peer not heard from for 3.5 s is locally
+// suspected. Each node holds its own view, so views can transiently
+// disagree (the classic eventually-perfect detector in a partially
+// synchronous network); the protocol's version-by-round updates tolerate
+// that window.
 //
 // One detector instance per node; the owner feeds it received heartbeats
 // and its own clock.
@@ -21,11 +21,8 @@
 namespace anu::proto {
 
 struct HeartbeatConfig {
-  /// Beacon period.
+  /// Beacon period; must be shorter than the 3.5 s silence threshold.
   double interval = 1.0;
-  /// Silence threshold before a peer is suspected. Must comfortably exceed
-  /// interval + worst-case network delay or live peers flap.
-  double suspect_after = 3.5;
 };
 
 class HeartbeatView {

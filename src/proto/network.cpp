@@ -9,6 +9,10 @@ namespace anu::proto {
 
 namespace {
 
+// Seconds per byte of payload (1 Gb/s-ish).
+constexpr double kPerByte = 8e-9;
+static_assert(kPerByte >= 0.0);
+
 /// Trace payload shared by send and recv events: the message's variant
 /// index is its kind (documented in docs/observability.md).
 void trace_message(obs::TraceSink* trace, SimTime now, obs::EventType type,
@@ -30,7 +34,6 @@ Network::Network(anu::Clock& clock, const NetworkConfig& config,
       up_(node_count, true) {
   ANU_REQUIRE(node_count > 0);
   ANU_REQUIRE(config.base_delay >= 0.0);
-  ANU_REQUIRE(config.per_byte >= 0.0);
   ANU_REQUIRE(config.jitter >= 0.0 && config.jitter < 1.0);
 }
 
@@ -59,7 +62,7 @@ void Network::transmit(std::uint32_t from, std::uint32_t to,
                   message, size);
   }
   const double delay =
-      (config_.base_delay + config_.per_byte * static_cast<double>(size)) *
+      (config_.base_delay + kPerByte * static_cast<double>(size)) *
           (1.0 + config_.jitter * rng_.next_double()) +
       extra_delay;
   clock_.schedule_after(delay, [this, from, to, size, msg = message] {

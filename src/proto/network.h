@@ -1,12 +1,13 @@
 // Simulated message-passing network for the control protocol — the
 // sim-side implementation of the Transport interface (transport.h).
 //
-// Point-to-point delivery with configurable base latency, per-byte cost and
-// deterministic jitter. Messages to a down node are dropped silently (the
-// failure model the delegate protocol must tolerate). Per-pair FIFO
-// ordering holds as long as jitter cannot reorder (jitter is bounded below
-// 2x base delay by construction); the protocol is written to tolerate
-// reordering anyway via round/version numbers and the ack/retransmit layer.
+// Point-to-point delivery with configurable base latency and deterministic
+// jitter, plus a fixed per-byte cost (1 Gb/s-ish). Messages to a down node
+// are dropped silently (the failure model the delegate protocol must
+// tolerate). Per-pair FIFO ordering holds as long as jitter cannot reorder
+// (jitter is bounded below 2x base delay by construction); the protocol is
+// written to tolerate reordering anyway via round/version numbers and the
+// ack/retransmit layer.
 //
 // An optional faults::FaultPlan injects adversarial conditions per message:
 // probabilistic loss, duplication, bounded reordering, delay spikes and
@@ -35,8 +36,6 @@ namespace anu::proto {
 struct NetworkConfig {
   /// One-way base delay, seconds (LAN-ish default).
   double base_delay = 0.001;
-  /// Seconds per byte of payload (1 Gb/s-ish default).
-  double per_byte = 8e-9;
   /// Multiplicative jitter amplitude in [0, 1): delay is scaled by a
   /// deterministic factor in [1, 1 + jitter).
   double jitter = 0.2;

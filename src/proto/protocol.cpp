@@ -10,6 +10,33 @@
 
 namespace anu::proto {
 
+namespace {
+
+// Ack/retransmit policy for the messages that must arrive (latency reports,
+// region-map distribution). Lost best-effort messages merely degrade one
+// round; under sustained loss (docs/chaos.md) reliability is what keeps
+// every round completing and every replica converging.
+//
+// Initial retransmit timeout (seconds), doubled per attempt up to kRtoMax.
+constexpr double kRto = 0.1;
+constexpr double kRtoMax = 2.0;
+// Multiplicative jitter amplitude in [0, 1) applied per timeout so
+// synchronized losses do not retransmit in lockstep.
+constexpr double kRetryJitter = 0.25;
+// Total transmissions per message (first send + retries) before the sender
+// gives up.
+constexpr std::uint32_t kMaxAttempts = 8;
+// Dedicated seed for retransmit jitter — isolated from the network and
+// fault streams so enabling chaos never shifts retry timing.
+constexpr std::uint64_t kRetrySeed = 0x7265747279ULL;  // "retry"
+
+static_assert(kRto > 0.0);
+static_assert(kRtoMax >= kRto);
+static_assert(kRetryJitter >= 0.0 && kRetryJitter < 1.0);
+static_assert(kMaxAttempts >= 1);
+
+}  // namespace
+
 ProtocolCluster::ProtocolCluster(anu::Clock& clock, Transport& network,
                                  const ProtocolConfig& config,
                                  std::size_t server_count,
@@ -19,18 +46,13 @@ ProtocolCluster::ProtocolCluster(anu::Clock& clock, Transport& network,
       config_(config),
       latency_model_(std::move(latency_model)),
       family_(config.hash_seed),
-      retry_rng_(config.retransmit.seed),
+      retry_rng_(kRetrySeed),
       nodes_(server_count),
       ticker_(clock, config.tuning_interval,
               [this](SimTime now) { on_tick(now); }) {
   ANU_REQUIRE(server_count > 0);
   ANU_REQUIRE(network.node_count() == server_count);
   ANU_REQUIRE(latency_model_ != nullptr);
-  ANU_REQUIRE(config.retransmit.rto > 0.0);
-  ANU_REQUIRE(config.retransmit.rto_max >= config.retransmit.rto);
-  ANU_REQUIRE(config.retransmit.jitter >= 0.0 &&
-              config.retransmit.jitter < 1.0);
-  ANU_REQUIRE(config.retransmit.max_attempts >= 1);
   // Every replica starts from the identical deterministic equal-share map.
   const core::RegionMap initial(server_count);
   for (std::uint32_t s = 0; s < server_count; ++s) {
@@ -180,7 +202,7 @@ void ProtocolCluster::send_reliable(std::uint32_t self, std::uint32_t to,
   pending.message = message;
   pending.to = to;
   pending.attempts = 1;
-  pending.rto = config_.retransmit.rto;
+  pending.rto = kRto;
   node.pending.emplace(seq, std::move(pending));
   ++reliable_sent_;
   network_.send(self, to, std::move(message));
@@ -192,7 +214,7 @@ void ProtocolCluster::arm_retransmit(std::uint32_t self, std::uint64_t seq) {
   ANU_REQUIRE(it != nodes_[self].pending.end());
   const double timeout =
       it->second.rto *
-      (1.0 + config_.retransmit.jitter * retry_rng_.next_double());
+      (1.0 + kRetryJitter * retry_rng_.next_double());
   it->second.timer = clock_.schedule_after(
       timeout, [this, self, seq] { on_retransmit_timer(self, seq); });
 }
@@ -206,7 +228,7 @@ void ProtocolCluster::on_retransmit_timer(std::uint32_t self,
   // Give up once the receiver is believed down (its region is reclaimed by
   // membership, not by retries) or the retry budget is spent.
   if (!believed_up(self, pending.to) ||
-      pending.attempts >= config_.retransmit.max_attempts) {
+      pending.attempts >= kMaxAttempts) {
     ++retries_abandoned_;
     node.pending.erase(it);
     return;
@@ -218,7 +240,7 @@ void ProtocolCluster::on_retransmit_timer(std::uint32_t self,
             pending.attempts, pending.rto);
   }
   network_.send(self, pending.to, pending.message);
-  pending.rto = std::min(pending.rto * 2.0, config_.retransmit.rto_max);
+  pending.rto = std::min(pending.rto * 2.0, kRtoMax);
   arm_retransmit(self, seq);
 }
 

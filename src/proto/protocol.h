@@ -52,25 +52,6 @@
 
 namespace anu::proto {
 
-/// Ack/retransmit policy for the messages that must arrive (latency
-/// reports, region-map distribution). Lost best-effort messages merely
-/// degrade one round; under sustained loss (docs/chaos.md) reliability is
-/// what keeps every round completing and every replica converging.
-struct RetransmitConfig {
-  /// Initial retransmit timeout (seconds). Doubled per attempt, capped.
-  double rto = 0.1;
-  double rto_max = 2.0;
-  /// Multiplicative jitter amplitude in [0, 1) applied per timeout so
-  /// synchronized losses do not retransmit in lockstep.
-  double jitter = 0.25;
-  /// Total transmissions per message (first send + retries) before the
-  /// sender gives up.
-  std::uint32_t max_attempts = 8;
-  /// Dedicated seed for retransmit jitter — isolated from the network and
-  /// fault streams so enabling chaos never shifts retry timing.
-  std::uint64_t seed = 0x7265747279ULL;  // "retry"
-};
-
 struct ProtocolConfig {
   double tuning_interval = 120.0;
   /// How long the delegate waits after its own report before tuning with
@@ -86,7 +67,6 @@ struct ProtocolConfig {
   /// delegate's detector suspects it (no oracle involved).
   bool use_heartbeats = false;
   HeartbeatConfig heartbeat;
-  RetransmitConfig retransmit;
 };
 
 /// Produces server `s`'s interval report given its current share — the

@@ -3,9 +3,9 @@
 // A from-scratch replacement for the YACSIM toolkit the paper used (§5.1):
 // an event calendar ordered by (time, insertion sequence) — the sequence
 // number gives deterministic FIFO semantics for simultaneous events — plus a
-// simulation clock and cancellable event handles. Higher layers (FIFO
-// queueing resources, periodic monitors, the cluster model) are built on
-// exactly this interface.
+// simulation clock and cancellable event handles. Higher layers (the
+// cluster's FIFO servers, periodic timers through sim::SimClock, the
+// protocol's retransmit timers) are built on exactly this interface.
 //
 // The calendar is a ladder queue (event_queue.h): O(1) amortized
 // schedule/dispatch versus the O(log n) sift of a binary heap, with only

@@ -124,6 +124,21 @@ TEST_P(ChaosSoak, ConvergesAndReconciles) {
 INSTANTIATE_TEST_SUITE_P(Seeds, ChaosSoak,
                          ::testing::Range<std::uint64_t>(1, 21));
 
+// Mixed-profile scenarios whose script degrades a server while it is down
+// (the degrade and fail rounds overlap). The degrade is ignored — the
+// server recovers at nominal speed — and the run converges.
+TEST(Chaos, DegradeOfADownServerIsIgnored) {
+  for (const std::uint64_t seed : {15u, 34u}) {
+    ChaosConfig config;
+    config.seed = seed;
+    config.profile = ChaosProfile::kMixed;
+    const auto report = run_chaos(config);
+    EXPECT_TRUE(report.passed())
+        << "seed " << seed << ": " << violations_text(report);
+    EXPECT_EQ(report.result.requests_completed, config.requests);
+  }
+}
+
 TEST(Chaos, SameSeedIsByteIdentical) {
   const auto config = soak_config(9, ChaosProfile::kMixed);
   const auto a = run_chaos(config);

@@ -186,6 +186,24 @@ TEST(Experiment, FailureAndRecoveryMidRun) {
   }
 }
 
+TEST(Experiment, DegradeOfAFailedServerIsIgnored) {
+  // The config lines `fail 10 2` then `degrade 12 2 0.5`: the degrade lands
+  // on a down server, which ignores it and later recovers at nominal speed.
+  const auto w = small_workload();
+  auto config = base_config();
+  cluster::FailureSchedule schedule;
+  schedule.add({600.0, cluster::MembershipAction::kFail, ServerId(2), 0.0});
+  cluster::MembershipEvent degrade{720.0, cluster::MembershipAction::kDegrade,
+                                   ServerId(2), 0.0};
+  degrade.factor = 0.5;
+  schedule.add(degrade);
+  schedule.add({900.0, cluster::MembershipAction::kRecover, ServerId(2), 0.0});
+  config.failures = schedule;
+  const auto result = run_system(SystemKind::kAnu, w, config);
+  EXPECT_GT(result.requests_completed, w.request_count() * 6 / 10);
+  EXPECT_GT(result.served[2], 0u);
+}
+
 TEST(Experiment, ServerAdditionMidRun) {
   const auto w = small_workload();
   auto config = base_config();

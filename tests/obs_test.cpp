@@ -389,6 +389,17 @@ TEST(Manifest, MovementRoundsRecomputeCumulativePercent) {
               run.result.percent_workload_moved, 1e-9);
 }
 
+TEST(Manifest, ControlPlaneCarriesMessagesRejected) {
+  TracedRun run = traced_tiny_run();
+  run.result.control_plane.retries_abandoned = 2;
+  run.result.control_plane.messages_rejected = 3;
+  const Json manifest = driver::manifest_json(run.spec, run.result);
+  const Json* control = manifest.at("result", "control_plane");
+  ASSERT_NE(control, nullptr);
+  EXPECT_EQ(control->at("retries_abandoned")->as_number(), 2);
+  EXPECT_EQ(control->at("messages_rejected")->as_number(), 3);
+}
+
 TEST(Manifest, WriteFileProducesParsableJson) {
   const TracedRun run = traced_tiny_run();
   const std::string path = ::testing::TempDir() + "/obs_test_manifest.json";

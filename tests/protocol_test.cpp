@@ -393,7 +393,8 @@ TEST(ProtocolHeartbeat, FailureDetectedWithoutOracle) {
       h.cluster.map_of(1).share(ServerId(4)).to_double();
   EXPECT_GT(before_share, 0.0);
   h.cluster.fail_server(4);  // only kills the process/link — no oracle call
-  // Within suspect_after, peers notice; the next round reclaims its region.
+  // Within the 3.5 s suspicion threshold, peers notice; the next round
+  // reclaims its region.
   h.sim.run_until(120.0 * 5 + 10.0);
   EXPECT_EQ(h.cluster.map_of(0).share(ServerId(4)).raw(), 0u);
   EXPECT_FALSE(h.cluster.believed_up(0, 4));

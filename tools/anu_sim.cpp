@@ -264,6 +264,8 @@ int run_chaos_cli(std::uint64_t seed, ChaosProfile profile,
                     std::to_string(cp.duplicates_suppressed)});
   counters.add_row({"retries_abandoned",
                     std::to_string(cp.retries_abandoned)});
+  counters.add_row({"messages_rejected",
+                    std::to_string(cp.messages_rejected)});
   counters.add_row({"requests_completed",
                     std::to_string(report.result.requests_completed)});
   counters.add_row({"tuning_rounds",
